@@ -87,6 +87,20 @@ type Stats struct {
 	CoalescedPages uint64
 }
 
+// Sub returns the counter deltas s - prev: the pool activity between two
+// Stats snapshots (every field, so a delta never silently drops one).
+func (s Stats) Sub(prev Stats) Stats {
+	return Stats{
+		LogicalReads:   s.LogicalReads - prev.LogicalReads,
+		PhysicalReads:  s.PhysicalReads - prev.PhysicalReads,
+		Hits:           s.Hits - prev.Hits,
+		Evictions:      s.Evictions - prev.Evictions,
+		PinWaitNanos:   s.PinWaitNanos - prev.PinWaitNanos,
+		CoalescedRuns:  s.CoalescedRuns - prev.CoalescedRuns,
+		CoalescedPages: s.CoalescedPages - prev.CoalescedPages,
+	}
+}
+
 type frame struct {
 	pid   storage.PageID
 	pins  int

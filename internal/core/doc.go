@@ -3,26 +3,28 @@
 //
 // # How the engine maps to the paper
 //
-// Algorithm 1 (DUALSIM) corresponds to Engine.RunPlan plus
-// run.processLevel(0):
+// Algorithm 1 (DUALSIM) corresponds to Engine.RunPlan, which drives a
+// private Sweep (level 1) carrying one Rider (sweep.go):
 //
 //	Lines 1-5  (preparation)            -> plan.Prepare (package plan)
 //	Line 6     (init candidate seqs)    -> RunPlan's candSeq{full:true} for
 //	                                       every forest root
-//	Lines 7-10 (async level-1 window)   -> run.loadWindow: AsyncRead per
-//	                                       page; the callback merges records
+//	Lines 7-10 (async level-1 window)   -> Sweep.Load / Engine.fillWindow:
+//	                                       AsyncRead per page run; the
+//	                                       callback merges records
 //	                                       (COMPUTECANDIDATESEQUENCES' data
 //	                                       side) while later reads proceed
 //	Line 13    (delegate external)      -> run.processLevel(l+1), with
 //	                                       last-level page tasks submitted
 //	                                       to the shared worker pool
-//	Line 14    (internal enumeration)   -> run.dispatchInternal +
+//	Line 14    (internal enumeration)   -> Rider.ProcessWindow:
+//	                                       run.dispatchInternal +
 //	                                       run.internalEnumerate
 //	Thread morphing                     -> one workerPool executes both
 //	                                       internal and external tasks, so
 //	                                       idle workers drain whichever kind
 //	                                       remains
-//	Lines 15-16 (unpin, clear)          -> run.unloadWindow,
+//	Lines 15-16 (unpin, clear)          -> Sweep.Release,
 //	                                       run.clearChildCandidates
 //
 // Algorithm 2 (DELEGATEEXTERNALSUBGRAPHENUMERATION) is processLevel for

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -411,26 +413,13 @@ func (e *Engine) RunPlanContextFunc(ctx context.Context, p *plan.Plan, onMatch f
 
 // RunSpecContext executes spec (see RunSpec): RunPlanContextFunc plus
 // checkpoint resume, checkpoint delivery, and per-run prefetch shedding.
+// A solo run is a private Sweep carrying one Rider: the sweep owns level 1
+// with the level's frame allocation, the rider the deeper levels.
 func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, error) {
 	p := spec.Plan
 	if p == nil {
 		return nil, fmt.Errorf("core: RunSpec without a plan")
 	}
-	if spec.Resume != nil {
-		if err := e.validateResume(spec.Resume, p); err != nil {
-			return nil, err
-		}
-	}
-	if !e.running.CompareAndSwap(false, true) {
-		return nil, ErrEngineBusy
-	}
-	defer e.running.Store(false)
-	if e.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
-		defer cancel()
-	}
-	startExec := time.Now()
 	var alloc []int
 	var err error
 	if e.opts.EqualAllocation {
@@ -441,208 +430,153 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("core: allocating %d frames over %d levels: %w", e.frames, p.K, err)
 	}
-	if err := e.ensureSpanBudget(alloc); err != nil {
+	if err := ensureSpanBudget(alloc, e.frames, e.maxSpan); err != nil {
 		return nil, err
 	}
+	if !e.running.CompareAndSwap(false, true) {
+		return nil, ErrEngineBusy
+	}
+	if e.opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
+		defer cancel()
+	}
 	// Attribution: an explicit per-request scope from the server wins;
-	// Options.Profile covers direct engine users. The scope is installed
-	// on the buffer pool for the run — the engine owns the pool and runs
-	// one query at a time, and all reads (foreground and prefetch) settle
-	// before the run returns, so attributed pages partition the global
-	// count exactly.
-	scope := spec.Scope
-	if scope == nil && e.opts.Profile {
-		scope = obs.NewScope(obs.NewTraceID())
+	// Options.Profile covers direct engine users. The sweep installs the
+	// scope on the buffer pool for the run — the engine owns the pool and
+	// runs one query at a time, and all reads (foreground and prefetch)
+	// settle before the run returns, so attributed pages partition the
+	// global count exactly.
+	scope := e.runScope(spec)
+	prefetch := !spec.DisablePrefetch
+	s, err := e.newSweep(alloc[0], prefetch, scope, liveOverlay(spec.Overlay))
+	if err != nil {
+		e.running.Store(false)
+		return nil, err
 	}
-	if scope != nil {
-		e.pool.SetAttribution(scope)
-		defer e.pool.SetAttribution(nil)
-	}
-
+	defer s.Close()
+	s.private = true
 	statsBefore := e.pool.Stats()
-	e.em.runs.Inc()
-
-	// Carve the prefetch budget out of each level's allocation: the window
-	// iterator chops against winBudget while the carved-off frames hold the
-	// level's in-flight speculative pins, keeping the pool's worst-case pin
-	// count at sum(alloc) = frames. Two guards make the carve pay its way:
-	//
-	//   - at most an eighth of the level's allocation (and never past the
-	//     one-maximal-vertex floor) — shrinking a window budget multiplies
-	//     the level's window count and, through re-iteration, every level
-	//     below it, so a large bite costs far more in extra windows than
-	//     lookahead can hide;
-	//   - at least the pool's coalescing run size — the budget caps the
-	//     length of a speculative run, and runs shorter than the pool's
-	//     own pay a full simulated seek for a handful of pages, costing
-	//     more device time than they hide.
-	//
-	// Levels whose allocation cannot afford that band (in practice the
-	// starved inner levels, whose loads the last-level path already
-	// overlaps with enumeration) skip prefetch instead of degrading it.
-	winBudget := make([]int, len(alloc))
-	copy(winBudget, alloc)
-	var prefetch []*buffer.Prefetcher
-	if e.opts.PrefetchFrames > 0 && !spec.DisablePrefetch {
-		prefetch = make([]*buffer.Prefetcher, p.K)
-		for l := range alloc {
-			carve := e.opts.PrefetchFrames
-			if cap := alloc[l] / 8; carve > cap {
-				carve = cap
-			}
-			if max := alloc[l] - e.maxSpan; carve > max {
-				carve = max
-			}
-			if carve >= buffer.DefaultMaxRun {
-				winBudget[l] = alloc[l] - carve
-				prefetch[l] = buffer.NewPrefetcher(e.pool, carve)
-			}
-		}
+	rd, err := s.newRider(ctx, spec, scope, alloc, prefetch, e.opts.Threads, e.frames)
+	if err != nil {
+		return nil, err
 	}
-
-	r := &run{
-		ctx:          ctx,
-		e:            e,
-		p:            p,
-		k:            p.K,
-		alloc:        alloc,
-		winBudget:    winBudget,
-		prefetch:     prefetch,
-		cand:         make([][]candSeq, len(p.Groups)),
-		winData:      make([]*levelWindow, p.K),
-		onMatch:      spec.OnMatch,
-		onCheckpoint: spec.OnCheckpoint,
-		tracer:       e.tracer,
-		em:           e.em,
-		scope:        scope,
-		adaptive:     !e.opts.LinearOnlyIntersect,
-	}
-	if spec.Overlay != nil && !spec.Overlay.Empty() {
-		r.overlay = spec.Overlay
-	}
-	r.levelSpan = make([]uint64, p.K)
-	r.winSpan = make([]uint64, p.K)
-	r.querySpan = r.span()
-	var rootSpan uint64
-	if scope != nil {
-		rootSpan = scope.RootSpan()
-	}
-	r.emit(obs.Event{Event: "run_start", Levels: p.K, Frames: e.frames,
-		Span: r.querySpan, Parent: rootSpan})
-	if cp := spec.Resume; cp != nil {
-		// Start from the frontier: totals from the checkpoint, the level-1
-		// iterator from its cursor, window ordinals continuing where the
-		// interrupted run stopped. Windows before the cursor are never
-		// touched — no candidate work, no page reads.
-		r.resumeCursor = cp.Cursor
-		r.internalCount.Store(cp.Internal)
-		r.externalCount.Store(cp.External)
-		r.windows1 = cp.Windows
-	}
-	r.arenaPool.New = func() any { return graph.NewArena() }
-	for g := range r.cand {
-		r.cand[g] = make([]candSeq, p.K)
-		f := p.Groups[g].Forest
-		for l := 0; l < p.K; l++ {
-			if f.Parent[l] < 0 {
-				r.cand[g][l] = candSeq{full: true} // roots start with every vertex
-			}
-		}
-	}
-	r.windowsPer = make([]int, p.K)
-	r.windowsPer[0] = r.windows1 // ordinal continuity across a resume
-	r.workers = newWorkerPool(e.opts.Threads, e.em.workerSubmitted, e.em.workerCompleted)
-	defer r.workers.close()
+	defer rd.Close()
+	// Windows wholly before a resume cursor are settled by the checkpoint
+	// and never read; they form a prefix of the partition.
+	first := sort.Search(len(s.bounds), func(i int) bool { return !rd.skips(s.bounds[i]) })
 
 	if e.opts.ProgressInterval > 0 && e.opts.ProgressWriter != nil {
 		// The reporter goroutine reads only atomics: engine counters
 		// (with the pre-run baseline subtracted) and the run's embedding
-		// counts. Level-1 window count is estimated from the level's frame
-		// budget; path-pin sharing makes actual windows somewhat fewer.
+		// counts.
 		l1Before := e.em.windowsLevel1.Value()
-		estL1 := (e.db.NumPages() + alloc[0] - 1) / alloc[0]
-		if estL1 < 1 {
-			estL1 = 1
-		}
 		stop := obs.StartProgress(e.opts.ProgressWriter, e.opts.ProgressInterval, func() string {
-			st := e.pool.Stats()
-			return fmt.Sprintf("dualsim: windows %d/~%d, pages read %d, embeddings %d",
-				e.em.windowsLevel1.Value()-l1Before, estL1,
-				st.PhysicalReads-statsBefore.PhysicalReads,
-				r.internalCount.Load()+r.externalCount.Load())
+			st := e.pool.Stats().Sub(statsBefore)
+			return fmt.Sprintf("dualsim: windows %d/%d, pages read %d, embeddings %d",
+				e.em.windowsLevel1.Value()-l1Before, s.Windows()-first, st.PhysicalReads,
+				rd.r.internalCount.Load()+rd.r.externalCount.Load())
 		})
 		defer stop()
 	}
 
-	if err := r.processLevel(0); err != nil {
+	for i := first; i < len(s.bounds); i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		next := i + 1
+		if next == len(s.bounds) {
+			next = -1
+		}
+		w, err := s.Load(ctx, i, next)
+		if err != nil {
+			return nil, err
+		}
+		err = rd.ProcessWindow(w)
+		s.Release(w)
+		if err != nil {
+			return nil, err
+		}
+	}
+	res, err := rd.Finish()
+	if err != nil {
 		return nil, err
 	}
-	if err := r.firstErr(); err != nil {
-		return nil, err
-	}
-
-	statsAfter := e.pool.Stats()
-	total := r.internalCount.Load() + r.externalCount.Load()
-	r.emit(obs.Event{Event: "run_end", Count: total, DurUS: time.Since(startExec).Microseconds(),
-		Span: r.querySpan, Parent: rootSpan})
-	var profile *obs.CostProfile
-	if scope != nil {
-		pr := scope.Profile()
-		pr.PrepNS = p.PrepTime.Nanoseconds()
-		pr.ExecNS = time.Since(startExec).Nanoseconds()
-		profile = &pr
-	}
-	return &Result{
-		Count:    total,
-		Internal: r.internalCount.Load(),
-		External: r.externalCount.Load(),
-		Plan:     p,
-		PrepTime: p.PrepTime,
-		ExecTime: time.Since(startExec),
-		Resumed:  spec.Resume != nil,
-		IO: buffer.Stats{
-			LogicalReads:  statsAfter.LogicalReads - statsBefore.LogicalReads,
-			PhysicalReads: statsAfter.PhysicalReads - statsBefore.PhysicalReads,
-			Hits:          statsAfter.Hits - statsBefore.Hits,
-			Evictions:     statsAfter.Evictions - statsBefore.Evictions,
-			PinWaitNanos:  statsAfter.PinWaitNanos - statsBefore.PinWaitNanos,
-		},
-		Level1Windows:   r.windows1,
-		WindowsPerLevel: r.windowsPer,
-		BufferFrames:    e.frames,
-		IOWait:          r.ioWait,
-		WindowRetries:   r.windowRetries,
-		Metrics:         e.reg.Snapshot(),
-		Profile:         profile,
-	}, nil
+	res.IO = e.pool.Stats().Sub(statsBefore)
+	res.IOWait += s.ioWait
+	res.WindowRetries += s.retries
+	return res, nil
 }
 
-// ensureSpanBudget raises every level's frame budget to the largest
-// adjacency-list span (windows load whole vertices, so a level must be able
-// to hold at least one), stealing frames from the richest levels. It fails
-// when the pool simply cannot hold one maximal vertex per level — the
-// remedy is a larger buffer.
-func (e *Engine) ensureSpanBudget(alloc []int) error {
-	if e.maxSpan*len(alloc) > e.frames {
+// runScope is the attribution scope of a run for spec: the caller's
+// explicit scope, else a fresh one under Options.Profile, else nil.
+func (e *Engine) runScope(spec RunSpec) *obs.Scope {
+	if spec.Scope == nil && e.opts.Profile {
+		return obs.NewScope(obs.NewTraceID())
+	}
+	return spec.Scope
+}
+
+// liveOverlay normalizes a run's overlay: an empty snapshot is the base
+// graph, so it becomes nil and the base read path runs unchanged.
+func liveOverlay(ov *delta.Snapshot) *delta.Snapshot {
+	if ov != nil && ov.Empty() {
+		return nil
+	}
+	return ov
+}
+
+// prefetchCarve is the share of a level's frame budget held back for the
+// cross-window prefetcher (0 = the level does not prefetch). The window
+// iterator chops against budget minus the carve while the carved-off
+// frames hold the level's in-flight speculative pins, keeping the pool's
+// worst-case pin count at the budget. Two guards make the carve pay its
+// way:
+//
+//   - at most an eighth of the level's budget (and never past the
+//     one-maximal-vertex floor) — shrinking a window budget multiplies the
+//     level's window count and, through re-iteration, every level below
+//     it, so a large bite costs far more in extra windows than lookahead
+//     can hide;
+//   - at least the pool's coalescing run size — the carve caps the length
+//     of a speculative run, and runs shorter than the pool's own pay a
+//     full simulated seek for a handful of pages, costing more device time
+//     than they hide.
+//
+// Levels whose budget cannot afford that band (in practice the starved
+// inner levels, whose loads the last-level path already overlaps with
+// enumeration) skip prefetch instead of degrading it.
+func (e *Engine) prefetchCarve(budget int) int {
+	carve := min(e.opts.PrefetchFrames, budget/8, budget-e.maxSpan)
+	if carve < buffer.DefaultMaxRun {
+		return 0
+	}
+	return carve
+}
+
+// ensureSpanBudget raises every level's frame budget in alloc (which sums
+// to at most total) to the largest adjacency-list span (windows load whole
+// vertices, so a level must be able to hold at least one), stealing frames
+// from the richest levels. It fails when total simply cannot hold one
+// maximal vertex per level — the remedy is a larger buffer.
+func ensureSpanBudget(alloc []int, total, maxSpan int) error {
+	if maxSpan*len(alloc) > total {
 		return fmt.Errorf("core: largest adjacency list spans %d pages but only %d frames are available for %d levels; increase the buffer size",
-			e.maxSpan, e.frames, len(alloc))
+			maxSpan, total, len(alloc))
 	}
 	for l := range alloc {
-		for alloc[l] < e.maxSpan {
+		for alloc[l] < maxSpan {
 			richest := -1
 			for j := range alloc {
-				if j != l && alloc[j] > e.maxSpan && (richest < 0 || alloc[j] > alloc[richest]) {
+				if j != l && alloc[j] > maxSpan && (richest < 0 || alloc[j] > alloc[richest]) {
 					richest = j
 				}
 			}
 			if richest < 0 {
-				return fmt.Errorf("core: cannot give level %d a %d-page window budget with %d frames; increase the buffer size",
-					l+1, e.maxSpan, e.frames)
+				return fmt.Errorf("core: cannot give every level a %d-page window budget with %d frames; increase the buffer size",
+					maxSpan, total)
 			}
-			take := alloc[richest] - e.maxSpan
-			if take > e.maxSpan-alloc[l] {
-				take = e.maxSpan - alloc[l]
-			}
+			take := min(alloc[richest]-maxSpan, maxSpan-alloc[l])
 			alloc[richest] -= take
 			alloc[l] += take
 		}
@@ -659,19 +593,20 @@ func (e *Engine) Count(q *graph.Query) (uint64, error) {
 	return res.Count, nil
 }
 
-// run carries the state of one enumeration.
+// run carries the state of one enumeration. Level 1 is fed by a Sweep
+// (see Rider); the run iterates and pins levels 2..K itself.
 type run struct {
-	ctx   context.Context
-	e     *Engine
-	p     *plan.Plan
-	k     int
-	alloc []int
+	ctx context.Context
+	e   *Engine
+	p   *plan.Plan
+	k   int
 	// winBudget is the per-level frame budget the window iterator chops
-	// against: alloc minus the level's prefetch carve.
+	// against: the level's allocation minus its prefetch carve. Index 0 is
+	// unused — the sweep chops level 1.
 	winBudget []int
-	// prefetch holds each level's speculative next-window reader; nil (or a
-	// nil entry) when Options.PrefetchFrames is zero or the level's clamped
-	// carve is too small to coalesce (see the carve loop in Run).
+	// prefetch holds each deep level's speculative next-window reader; nil
+	// (or a nil entry) when prefetching is off or the level's carve is too
+	// small to coalesce (see Engine.prefetchCarve).
 	prefetch []*buffer.Prefetcher
 
 	// cand[g][l] is the candidate vertex sequence of group g's node at
@@ -683,10 +618,10 @@ type run struct {
 	// pin count). Maintained by the orchestrating goroutine only.
 	pathPinned map[storage.PageID]int
 	// overlay is the live-ingest snapshot this run enumerates against, or
-	// nil for the pure base-file path (never non-nil-but-empty: RunSpec
-	// normalization drops empty snapshots). When set, loadWindow merges it
-	// into every window before sealing and last-level matching dispatches
-	// only after the seal, so every adjacency read sees the mutated graph.
+	// nil for the pure base-file path (never non-nil-but-empty: see
+	// liveOverlay). When set, every window load merges it before sealing
+	// and last-level matching dispatches only after the seal, so every
+	// adjacency read sees the mutated graph.
 	overlay *delta.Snapshot
 
 	workers *workerPool
@@ -715,7 +650,6 @@ type run struct {
 
 	internalCount atomic.Uint64
 	externalCount atomic.Uint64
-	windows1      int
 	windowsPer    []int
 	// ioWait accumulates time the orchestrator spent blocked on window
 	// loads — the I/O cost the overlap strategy failed to hide.
@@ -729,14 +663,59 @@ type run struct {
 	// landing concurrently survives the clear.
 	err atomic.Pointer[runErrBox]
 
-	// resumeCursor is the level-1 candidate index enumeration starts from
-	// (zero for a fresh run).
-	resumeCursor int
 	// onCheckpoint, when non-nil, receives the frontier after each
 	// completed level-1 window (orchestrator goroutine only).
 	onCheckpoint func(Checkpoint)
 
 	onMatch func([]graph.VertexID)
+}
+
+// newRun builds the state of one enumeration of spec whose deep levels
+// plan against alloc[1:], carving each for prefetch when prefetch is set.
+func (e *Engine) newRun(ctx context.Context, spec RunSpec, scope *obs.Scope, alloc []int, prefetch bool, threads int) *run {
+	p := spec.Plan
+	r := &run{
+		ctx:          ctx,
+		e:            e,
+		p:            p,
+		k:            p.K,
+		winBudget:    slices.Clone(alloc),
+		cand:         make([][]candSeq, len(p.Groups)),
+		winData:      make([]*levelWindow, p.K),
+		pathPinned:   make(map[storage.PageID]int),
+		overlay:      liveOverlay(spec.Overlay),
+		onMatch:      spec.OnMatch,
+		onCheckpoint: spec.OnCheckpoint,
+		tracer:       e.tracer,
+		em:           e.em,
+		scope:        scope,
+		adaptive:     !e.opts.LinearOnlyIntersect,
+		levelSpan:    make([]uint64, p.K),
+		winSpan:      make([]uint64, p.K),
+		windowsPer:   make([]int, p.K),
+	}
+	if prefetch {
+		r.prefetch = make([]*buffer.Prefetcher, p.K)
+		for l := 1; l < p.K; l++ {
+			if carve := e.prefetchCarve(alloc[l]); carve > 0 {
+				r.winBudget[l] -= carve
+				r.prefetch[l] = buffer.NewPrefetcher(e.pool, carve)
+			}
+		}
+	}
+	r.querySpan = r.span()
+	r.arenaPool.New = func() any { return graph.NewArena() }
+	for g := range r.cand {
+		r.cand[g] = make([]candSeq, p.K)
+		f := p.Groups[g].Forest
+		for l := 0; l < p.K; l++ {
+			if f.Parent[l] < 0 {
+				r.cand[g][l] = candSeq{full: true} // roots start with every vertex
+			}
+		}
+	}
+	r.workers = newWorkerPool(threads, e.em.workerSubmitted, e.em.workerCompleted)
+	return r
 }
 
 // emit forwards e to the run's tracer, stamping the scope's trace ID so

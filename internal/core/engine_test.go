@@ -358,6 +358,31 @@ func TestEngineIOStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestResultIOIsPoolDelta: a run's Result.IO is exactly the pool's own
+// counter delta, coalescing counts included — a cold multi-page run serves
+// its windows as coalesced runs.
+func TestResultIOIsPoolDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	g := randomGraph(rng, 400, 3000)
+	db := buildDB(t, g, 128)
+	e, err := NewEngine(db, Options{Threads: 2, BufferFrames: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	before := e.PoolStats()
+	res, err := e.Run(graph.Triangle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.IO.CoalescedRuns == 0 {
+		t.Fatalf("cold run reported no coalesced runs: %+v", res.IO)
+	}
+	if got := e.PoolStats().Sub(before); res.IO != got {
+		t.Errorf("Result.IO = %+v, pool delta = %+v", res.IO, got)
+	}
+}
+
 func TestEngineSmallBufferReadsMoreThanLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	g := randomGraph(rng, 400, 3200)

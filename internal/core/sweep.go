@@ -4,22 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"dualsim/internal/buffer"
+	"dualsim/internal/delta"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/storage"
 )
 
-// This file is the engine half of shared-scan multi-query execution (see
-// internal/sharedscan for the cohort scheduler): one Sweep owns the engine's
-// buffer pool and drives a single level-1 window cycle over the whole
-// vertex range, while any number of Riders — one per in-flight query —
-// evaluate their own v-group forests against each pinned window before the
-// sweep advances.
+// This file is the engine's one level-1 loop (Algorithm 1 lines 7-16): a
+// Sweep owns the level-1 window cycle over the whole vertex range, and each
+// query is a Rider that evaluates its v-group forests against every pinned
+// window before the sweep advances. A solo run (Engine.RunSpecContext) is a
+// private sweep carrying one rider; shared-scan execution (see
+// internal/sharedscan for the cohort scheduler) is a sweep carrying many.
 //
 // The design leans on two engine invariants:
 //
@@ -30,15 +30,14 @@ import (
 //     (each embedding is counted exactly once, by the window containing its
 //     first matching-order position — the Checkpoint contract). The cycle
 //     may start anywhere: a rider that joins at window i and consumes
-//     i..m-1, 0..i-1 sums the same per-window tallies as a solo run, so
-//     rider counts are bit-identical to solo execution.
+//     i..m-1, 0..i-1 sums the same per-window tallies as a solo run, and a
+//     resumed rider that narrows the window holding its cursor to start
+//     there counts exactly what a window starting at the cursor would.
 
-// ErrRiderNotEligible reports a query the shared sweep cannot carry — a
-// resume replay (the cursor needs the solo iterator to honour it from the
-// start of the range), a live-ingest overlay (the shared window loader
-// reads the base file only), or a plan too deep for the per-rider frame
-// share. Callers fall back to a solo engine; nothing about the query is
-// wrong.
+// ErrRiderNotEligible reports a query a sweep cannot carry: its
+// live-ingest overlay is not the sweep's (cohort sweeps read the base file
+// only), or its plan is too deep for the per-rider frame share. Callers
+// fall back to a solo engine; nothing about the query is wrong.
 var ErrRiderNotEligible = errors.New("core: query not eligible for the shared sweep; run it solo")
 
 // WindowBounds is one level-1 window of the shared partition: vertex
@@ -75,14 +74,22 @@ type SweepOptions struct {
 // Close are not concurrently safe. Riders process delivered windows from
 // their own goroutines.
 type Sweep struct {
-	e           *Engine
-	scope       *obs.Scope
+	e     *Engine
+	scope *obs.Scope
+	// overlay is the live-ingest snapshot every window is merged with
+	// before its seal; nil for cohort sweeps, which serve the base file.
+	overlay     *delta.Snapshot
 	bounds      []WindowBounds
-	budget      int // level-1 window budget (after the prefetch carve)
 	riderFrames int // deep-level frame share per rider
 	maxRiders   int
 	pf          *buffer.Prefetcher
-	closed      bool
+	// private marks a solo run's sweep: its one rider owns the level-1
+	// loads, so their I/O wait, retries and trace events are the rider's
+	// own rather than shared-window consumption.
+	private bool
+	ioWait  time.Duration // level-1 load wait, summed over every Load
+	retries uint64        // level-1 window retries absorbed
+	closed  bool
 }
 
 // NewSweep plans a shared scan: it takes the engine's run guard, splits the
@@ -105,46 +112,40 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 		return nil, fmt.Errorf("core: %d frames cannot give a shared sweep a %d-page level-1 budget beside %d riders; increase the buffer size",
 			e.frames, e.maxSpan, opts.MaxRiders)
 	}
-	// The same carve policy as a solo run: prefetch frames come out of the
-	// level-1 budget so the pool's worst-case pin count stays at e.frames.
-	carve := 0
-	if e.opts.PrefetchFrames > 0 {
-		carve = e.opts.PrefetchFrames
-		if cap := b1 / 8; carve > cap {
-			carve = cap
-		}
-		if max := b1 - e.maxSpan; carve > max {
-			carve = max
-		}
-		if carve < buffer.DefaultMaxRun {
-			carve = 0
-		}
-	}
-	bounds, err := levelOnePartition(e, b1-carve)
+	s, err := e.newSweep(b1, true, opts.Scope, nil)
 	if err != nil {
 		e.running.Store(false)
 		return nil, err
 	}
-	s := &Sweep{
-		e:           e,
-		scope:       opts.Scope,
-		bounds:      bounds,
-		budget:      b1 - carve,
-		riderFrames: riderShare,
-		maxRiders:   opts.MaxRiders,
+	s.riderFrames = riderShare
+	s.maxRiders = opts.MaxRiders
+	return s, nil
+}
+
+// newSweep plans the level-1 cycle over budget frames: the prefetch carve
+// (when prefetch is set), the partition, and the pool's attribution sink.
+// The caller holds the engine's run guard; Close returns it.
+func (e *Engine) newSweep(budget int, prefetch bool, scope *obs.Scope, ov *delta.Snapshot) (*Sweep, error) {
+	carve := 0
+	if prefetch {
+		carve = e.prefetchCarve(budget)
 	}
+	bounds, err := levelOnePartition(e, budget-carve)
+	if err != nil {
+		return nil, err
+	}
+	s := &Sweep{e: e, scope: scope, overlay: ov, bounds: bounds}
 	if carve > 0 {
 		s.pf = buffer.NewPrefetcher(e.pool, carve)
 	}
-	if s.scope != nil {
-		e.pool.SetAttribution(s.scope)
+	if scope != nil {
+		e.pool.SetAttribution(scope)
 	}
 	return s, nil
 }
 
-// levelOnePartition replays the window iterator's budget walk over the full
-// vertex range with no outer pins — exactly the level-0 iteration of a solo
-// run with this budget — producing the fixed window list a sweep cycles.
+// levelOnePartition walks the level-1 budget over the full vertex range
+// with no outer pins, producing the fixed window list a sweep cycles.
 func levelOnePartition(e *Engine, budget int) ([]WindowBounds, error) {
 	all := e.all
 	var bounds []WindowBounds
@@ -162,7 +163,7 @@ func levelOnePartition(e *Engine, budget int) ([]WindowBounds, error) {
 			}
 			if len(newPages)+added > budget {
 				if j == i {
-					return nil, fmt.Errorf("core: vertex %d spans %d pages, exceeding the %d-frame shared level-1 budget; increase the buffer size",
+					return nil, fmt.Errorf("core: vertex %d spans %d pages, exceeding the %d-frame level-1 budget; increase the buffer size",
 						all[j], last-first+1, budget)
 				}
 				break
@@ -194,7 +195,8 @@ func (s *Sweep) Bounds(i int) WindowBounds { return s.bounds[i] }
 type SweepWindow struct {
 	lw    *levelWindow
 	index int
-	verts []graph.VertexID
+	start time.Time     // when Load began
+	wait  time.Duration // I/O wait of the successful load attempt
 }
 
 // Index returns the window's partition index.
@@ -204,26 +206,32 @@ func (w *SweepWindow) Index() int { return w.index }
 func (w *SweepWindow) Pages() int { return len(w.lw.pages) }
 
 // Load pins partition window idx: pages issued as coalesced ascending runs,
-// split records merged, the window sealed. Transient faults are retried
-// with the engine's window-retry budget (pages that loaded before a fault
-// are resident, so a retry re-reads only the failures). When the sweep has
-// a prefetch carve and next >= 0, the speculative round for partition
-// window next starts before Load returns, overlapping with the riders'
-// enumeration of this window.
+// split records merged, the sweep's overlay applied, the window sealed.
+// Transient faults are retried with the engine's window-retry budget
+// (pages that loaded before a fault are resident, so a retry re-reads only
+// the failures). When the sweep has a prefetch carve and next >= 0, the
+// speculative round for partition window next starts before Load returns,
+// overlapping with the riders' enumeration of this window.
 func (s *Sweep) Load(ctx context.Context, idx, next int) (*SweepWindow, error) {
 	b := s.bounds[idx]
-	verts := s.e.all[b.Lo:b.Hi]
-	var lw *levelWindow
-	var err error
+	w := &SweepWindow{index: idx, start: time.Now()}
 	for attempt := 0; ; attempt++ {
-		lw, err = s.loadOnce(ctx, idx, verts)
+		lw := newLevelWindow(s.e.db, s.e.all[b.Lo:b.Hi], 0, false)
+		wait, err := s.e.fillWindow(ctx, lw, s.pf, s.scope, s.overlay, nil)
+		s.ioWait += wait
+		if s.e.tracer != nil && !s.private {
+			s.emitEvent(obs.Event{Event: "sweep_window_pinned", Level: 1, Window: idx + 1,
+				Pages: len(lw.pages), DurUS: wait.Microseconds()})
+		}
 		if err == nil {
+			w.lw, w.wait = lw, wait
 			break
 		}
 		s.unpin(lw)
 		if attempt >= s.e.opts.WindowRetries || !storage.IsTransient(err) || ctx.Err() != nil {
 			return nil, err
 		}
+		s.retries++
 		s.e.em.windowRetries.Inc()
 		if s.scope != nil {
 			s.scope.WindowRetries.Add(1)
@@ -236,168 +244,17 @@ func (s *Sweep) Load(ctx context.Context, idx, next int) (*SweepWindow, error) {
 		}
 	}
 	if s.pf != nil && next >= 0 {
+		// The next window's pages that will still need a read once this
+		// one releases, leading pages first.
 		nb := s.bounds[next]
-		pids := s.peekPages(s.e.all[nb.Lo:nb.Hi], lw, s.pf.Budget())
-		if len(pids) > 0 {
-			n := s.pf.Start(ctx, pids)
-			s.e.em.prefetchIssued.Add(uint64(n))
-			if s.scope != nil && n > 0 {
-				s.scope.PrefetchIssued.Add(uint64(n))
-			}
-		}
+		cur := w.lw.pages
+		pids := spanPages(s.e.db, s.e.all[nb.Lo:nb.Hi], func(p storage.PageID) bool {
+			_, ok := slices.BinarySearch(cur, p)
+			return ok
+		})
+		issuePrefetch(ctx, s.pf, pids[:min(len(pids), s.pf.Budget())], s.e.em, s.scope)
 	}
-	return &SweepWindow{lw: lw, index: idx, verts: verts}, nil
-}
-
-// loadOnce is one load attempt: the sweep-side analogue of run.loadWindow,
-// minus per-plan window membership (riders slice their own candidate
-// sequences) and last-level dispatch (riders drive their own matching).
-func (s *Sweep) loadOnce(ctx context.Context, idx int, verts []graph.VertexID) (*levelWindow, error) {
-	lw := &levelWindow{
-		adj:         make(map[graph.VertexID][]graph.VertexID),
-		pinned:      make(map[storage.PageID]bool),
-		loadedPages: make(map[storage.PageID]*storage.Page),
-	}
-	if len(verts) > 0 {
-		lw.lo, lw.hi = verts[0], verts[len(verts)-1]
-	}
-	var pages []storage.PageID
-	seen := make(map[storage.PageID]bool)
-	for _, v := range verts {
-		first, last := s.e.db.SpanOf(v)
-		for p := first; p <= last; p++ {
-			if !seen[p] {
-				seen[p] = true
-				pages = append(pages, p)
-			}
-		}
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	lw.pages = pages
-
-	// Settle the speculative round first: correctly predicted pages are
-	// resident and turn the reads below into hits, and the speculative pins
-	// release before this window's own pins take their place.
-	if s.pf != nil {
-		useful, wasted := s.pf.Collect(func(pid storage.PageID) bool { return seen[pid] })
-		if useful > 0 {
-			s.e.em.prefetchUseful.Add(uint64(useful))
-			if s.scope != nil {
-				s.scope.PrefetchUseful.Add(uint64(useful))
-			}
-		}
-		if wasted > 0 {
-			s.e.em.prefetchWasted.Add(uint64(wasted))
-			if s.scope != nil {
-				s.scope.PrefetchWasted.Add(uint64(wasted))
-			}
-		}
-	}
-
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	onPage := func(pid storage.PageID, page *storage.Page, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		lw.pinned[pid] = true
-		lw.loadedPages[pid] = page
-		// Sweep windows always index decoded: riders read adj structurally
-		// (child candidates, internal enumeration) from every shared window.
-		crecs, cbytes := indexPageRecords(page, lw.adj, nil, false)
-		if crecs > 0 {
-			s.e.em.compressedRecs.Add(crecs)
-			s.e.em.compressedBytes.Add(cbytes)
-		}
-	}
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 {
-			j++
-		}
-		wg.Add(j - i)
-		s.e.pool.AsyncReadRunContext(ctx, pages[i], j-i, &wg, onPage)
-		i = j
-	}
-	waitStart := time.Now()
-	wg.Wait()
-	wait := time.Since(waitStart)
-	s.e.em.ioWaitNanos.Add(uint64(wait.Nanoseconds()))
-	if s.scope != nil {
-		s.scope.IOWaitNanos.Add(uint64(wait.Nanoseconds()))
-	}
-	s.e.em.windowLoadUS.Observe(wait.Microseconds())
-	s.e.em.windowPages.Observe(int64(len(pages)))
-	if s.e.tracer != nil {
-		s.emitEvent(obs.Event{Event: "sweep_window_pinned", Level: 1, Window: idx + 1,
-			Pages: len(pages), DurUS: wait.Microseconds()})
-	}
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return lw, err
-	}
-	// Merge split (multi-page) adjacency lists; the partition keeps a
-	// vertex's span inside one window, so all chunks are present for
-	// in-range vertices.
-	var split map[graph.VertexID][]graph.VertexID
-	for _, pid := range lw.pages {
-		page := lw.loadedPages[pid]
-		if page == nil {
-			continue
-		}
-		for i := range page.Records {
-			rec := &page.Records[i]
-			if rec.Continues || rec.Continuation {
-				if split == nil {
-					split = make(map[graph.VertexID][]graph.VertexID)
-				}
-				split[rec.Vertex] = appendRecord(split[rec.Vertex], rec)
-			}
-		}
-	}
-	for v, adj := range split {
-		if len(adj) == s.e.db.Degree(v) {
-			lw.adj[v] = adj
-		}
-	}
-	lw.sealed.Store(true)
-	return lw, nil
-}
-
-// peekPages returns the pages of the next partition window that will still
-// need a read once cur releases (ascending, truncated to max).
-func (s *Sweep) peekPages(verts []graph.VertexID, cur *levelWindow, max int) []storage.PageID {
-	if max <= 0 {
-		return nil
-	}
-	curSet := make(map[storage.PageID]bool, len(cur.pages))
-	for _, p := range cur.pages {
-		curSet[p] = true
-	}
-	seen := make(map[storage.PageID]bool)
-	var pids []storage.PageID
-	for _, v := range verts {
-		first, last := s.e.db.SpanOf(v)
-		for p := first; p <= last; p++ {
-			if !curSet[p] && !seen[p] {
-				seen[p] = true
-				pids = append(pids, p)
-			}
-		}
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	if len(pids) > max {
-		pids = pids[:max]
-	}
-	return pids
+	return w, nil
 }
 
 // Release unpins a delivered window. Every rider must have returned from
@@ -408,9 +265,6 @@ func (s *Sweep) Release(w *SweepWindow) {
 }
 
 func (s *Sweep) unpin(lw *levelWindow) {
-	if lw == nil {
-		return
-	}
 	for pid := range lw.pinned {
 		s.e.pool.Unpin(pid)
 	}
@@ -425,15 +279,7 @@ func (s *Sweep) Close() {
 		return
 	}
 	s.closed = true
-	if s.pf != nil {
-		_, wasted := s.pf.Collect(nil)
-		if wasted > 0 {
-			s.e.em.prefetchWasted.Add(uint64(wasted))
-			if s.scope != nil {
-				s.scope.PrefetchWasted.Add(uint64(wasted))
-			}
-		}
-	}
+	collectPrefetch(s.pf, nil, s.e.em, s.scope)
 	if s.scope != nil {
 		s.e.pool.SetAttribution(nil)
 	}
@@ -447,8 +293,9 @@ func (s *Sweep) emitEvent(e obs.Event) {
 	s.e.tracer.Emit(e)
 }
 
-// sleepBackoff waits the attempt's window-level backoff (same schedule as a
-// solo run's sleepWindowBackoff), honouring ctx.
+// sleepBackoff waits the attempt's window-level backoff (0-based, doubling
+// from WindowRetryBackoff up to WindowRetryMaxBackoff), honouring ctx.
+// Reports false when the context ended first.
 func sleepBackoff(ctx context.Context, opts Options, attempt int) bool {
 	d := opts.WindowRetryBackoff
 	if d <= 0 {
@@ -483,135 +330,98 @@ func sleepBackoff(ctx context.Context, opts Options, attempt int) bool {
 // windows arrive pre-loaded from the sweep instead of being iterated and
 // pinned by the run itself. A rider consumes every partition window exactly
 // once, in cycle order from wherever it joined; commutativity of the
-// per-window tallies makes the total identical to a solo run.
+// per-window tallies makes the total identical to an uninterrupted pass.
 type Rider struct {
 	s         *Sweep
 	r         *run
+	frames    int // frame budget the rider planned against (Result.BufferFrames)
 	startExec time.Time
 	rootSpan  uint64
+	resumed   bool
 
-	// joinIndex is the partition index of the first window consumed (-1
-	// until then). Riders that join at index 0 emit checkpoints — their
-	// consumed prefix is exactly the solo iterator's; late joiners have no
-	// solo-meaningful cursor and stay silent.
-	joinIndex   int
+	// cursor is the resume checkpoint's level-1 vertex index (0 for a
+	// fresh run): windows ending at or before it are skipped, and the
+	// window holding it is narrowed to start there.
+	cursor int
+	// frontier is the end of the contiguous vertex prefix [0, frontier)
+	// the rider has settled, or -1 once it consumed a window past a gap
+	// (a late joiner). Only a contiguous prefix is a valid resume cursor,
+	// so checkpoints are emitted while frontier >= 0.
+	frontier    int
 	processed   int
 	sharedPages uint64
 	closed      bool
 }
 
-// NewRider plans a rider for spec on the sweep. Resume specs and plans
-// whose deep levels cannot fit the per-rider frame share return
-// ErrRiderNotEligible (wrapped); the caller runs those solo. threads sizes
-// the rider's private worker pool (0 = engine threads divided by
-// MaxRiders).
+// NewRider plans a rider for spec on the sweep. A spec whose overlay is not
+// the sweep's, or whose plan's deep levels cannot fit the per-rider frame
+// share, returns ErrRiderNotEligible (wrapped); the caller runs those solo.
+// A resume spec boards like any other and skips the windows its
+// checkpoint already settled. threads sizes the rider's private worker
+// pool (0 = engine threads divided by MaxRiders).
 func (s *Sweep) NewRider(ctx context.Context, spec RunSpec, threads int) (*Rider, error) {
-	p := spec.Plan
-	if p == nil {
+	if spec.Plan == nil {
 		return nil, fmt.Errorf("core: RunSpec without a plan")
 	}
-	if spec.Resume != nil {
-		return nil, fmt.Errorf("%w: checkpoint resume needs the solo level-1 iterator", ErrRiderNotEligible)
-	}
-	if spec.Overlay != nil && !spec.Overlay.Empty() {
-		return nil, fmt.Errorf("%w: live-ingest overlay needs the solo window loader", ErrRiderNotEligible)
-	}
 	if threads <= 0 {
-		threads = s.e.opts.Threads / s.maxRiders
-		if threads < 1 {
-			threads = 1
-		}
+		threads = max(s.e.opts.Threads/s.maxRiders, 1)
 	}
-	// alloc[0] stays 0: the rider never iterates level 1 — the sweep owns
-	// those pins. Deep levels split the rider share with the usual strategy
-	// and must each hold one maximal vertex.
-	alloc := make([]int, p.K)
-	if p.K > 1 {
-		deep, err := buffer.Allocate(s.riderFrames, p.K-1, threads)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRiderNotEligible, err)
+	// alloc[0] stays 0: the sweep owns the level-1 pins. Deep levels split
+	// the rider share with the usual strategy and must each hold one
+	// maximal vertex.
+	k := spec.Plan.K
+	alloc := make([]int, k)
+	if k > 1 {
+		deep, err := buffer.Allocate(s.riderFrames, k-1, threads)
+		if err == nil {
+			err = ensureSpanBudget(deep, s.riderFrames, s.e.maxSpan)
 		}
-		if err := ensureSpanBudgetSlice(deep, s.riderFrames, s.e.maxSpan); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrRiderNotEligible, err)
 		}
 		copy(alloc[1:], deep)
 	}
-	scope := spec.Scope
-	if scope == nil && s.e.opts.Profile {
-		scope = obs.NewScope(obs.NewTraceID())
+	return s.newRider(ctx, spec, s.e.runScope(spec), alloc, false, threads, s.riderFrames)
+}
+
+// newRider builds the rider (and its run state) for spec with deep-level
+// budgets alloc[1:], each carved for prefetch when prefetch is set. frames
+// is the budget reported in run_start and Result.BufferFrames.
+func (s *Sweep) newRider(ctx context.Context, spec RunSpec, scope *obs.Scope, alloc []int, prefetch bool, threads, frames int) (*Rider, error) {
+	if liveOverlay(spec.Overlay) != s.overlay {
+		return nil, fmt.Errorf("%w: live-ingest overlay differs from the sweep's", ErrRiderNotEligible)
 	}
-	winBudget := make([]int, len(alloc))
-	copy(winBudget, alloc)
-	r := &run{
-		ctx:          ctx,
-		e:            s.e,
-		p:            p,
-		k:            p.K,
-		alloc:        alloc,
-		winBudget:    winBudget,
-		cand:         make([][]candSeq, len(p.Groups)),
-		winData:      make([]*levelWindow, p.K),
-		onMatch:      spec.OnMatch,
-		onCheckpoint: spec.OnCheckpoint,
-		tracer:       s.e.tracer,
-		em:           s.e.em,
-		scope:        scope,
-		adaptive:     !s.e.opts.LinearOnlyIntersect,
-	}
-	r.levelSpan = make([]uint64, p.K)
-	r.winSpan = make([]uint64, p.K)
-	r.querySpan = r.span()
-	r.arenaPool.New = func() any { return graph.NewArena() }
-	for g := range r.cand {
-		r.cand[g] = make([]candSeq, p.K)
-		f := p.Groups[g].Forest
-		for l := 0; l < p.K; l++ {
-			if f.Parent[l] < 0 {
-				r.cand[g][l] = candSeq{full: true}
-			}
+	cp := spec.Resume
+	if cp != nil {
+		if err := s.e.validateResume(cp, spec.Plan); err != nil {
+			return nil, err
 		}
 	}
-	r.windowsPer = make([]int, p.K)
-	r.pathPinned = make(map[storage.PageID]int)
-	r.workers = newWorkerPool(threads, s.e.em.workerSubmitted, s.e.em.workerCompleted)
+	r := s.e.newRun(ctx, spec, scope, alloc, prefetch, threads)
+	rd := &Rider{s: s, r: r, frames: frames, startExec: time.Now(), resumed: cp != nil}
+	if cp != nil {
+		// Totals and window ordinals continue from the checkpoint.
+		rd.cursor, rd.frontier = cp.Cursor, cp.Cursor
+		r.internalCount.Store(cp.Internal)
+		r.externalCount.Store(cp.External)
+		r.windowsPer[0] = cp.Windows
+	}
 	s.e.em.runs.Inc()
-	rd := &Rider{s: s, r: r, startExec: time.Now(), joinIndex: -1}
 	if scope != nil {
 		rd.rootSpan = scope.RootSpan()
 	}
-	r.emit(obs.Event{Event: "run_start", Levels: p.K, Frames: s.riderFrames,
+	r.emit(obs.Event{Event: "run_start", Levels: r.k, Frames: frames,
 		Span: r.querySpan, Parent: rd.rootSpan})
+	if lvl := r.span(); lvl != 0 {
+		r.levelSpan[0] = lvl
+		r.emit(obs.Event{Event: "level_start", Level: 1, Span: lvl, Parent: r.querySpan})
+	}
 	return rd, nil
 }
 
-// ensureSpanBudgetSlice is ensureSpanBudget for a rider's deep levels:
-// every level must hold one maximal vertex, stealing from the richest.
-func ensureSpanBudgetSlice(alloc []int, total, maxSpan int) error {
-	if maxSpan*len(alloc) > total {
-		return fmt.Errorf("core: largest adjacency list spans %d pages but the rider share is %d frames for %d deep levels",
-			maxSpan, total, len(alloc))
-	}
-	for l := range alloc {
-		for alloc[l] < maxSpan {
-			richest := -1
-			for j := range alloc {
-				if j != l && alloc[j] > maxSpan && (richest < 0 || alloc[j] > alloc[richest]) {
-					richest = j
-				}
-			}
-			if richest < 0 {
-				return fmt.Errorf("core: cannot give deep level %d a %d-page budget from %d rider frames", l+1, maxSpan, total)
-			}
-			take := alloc[richest] - maxSpan
-			if take > maxSpan-alloc[l] {
-				take = maxSpan - alloc[l]
-			}
-			alloc[richest] -= take
-			alloc[l] += take
-		}
-	}
-	return nil
-}
+// skips reports whether partition window b lies wholly before the rider's
+// resume cursor (settled by the checkpoint it resumed from).
+func (rd *Rider) skips(b WindowBounds) bool { return b.Hi <= rd.cursor }
 
 // Done reports that the rider has consumed every partition window.
 func (rd *Rider) Done() bool { return rd.processed >= len(rd.s.bounds) }
@@ -620,12 +430,18 @@ func (rd *Rider) Done() bool { return rd.processed >= len(rd.s.bounds) }
 // (logical consumption; the physical reads are charged to the sweep).
 func (rd *Rider) SharedPages() uint64 { return rd.sharedPages }
 
-// ProcessWindow evaluates the rider's plan against one delivered window:
-// the level-0 body of processLevel with the load replaced by a rider-local
-// view of the sweep's window. On return no rider task is running — the
-// sweep may release the window's pins.
+// ProcessWindow evaluates the rider's plan against one delivered window
+// (Algorithm 1 lines 11-16): child candidates from the window, internal
+// enumeration overlapped with the external traversal of the deeper levels.
+// On return no rider task is running — the sweep may release the window's
+// pins.
 func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	r := rd.r
+	b := rd.s.bounds[w.index]
+	if rd.skips(b) {
+		rd.processed++
+		return nil
+	}
 	if err := r.ctx.Err(); err != nil {
 		r.fail(err)
 		return err
@@ -633,17 +449,17 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	if err := r.firstErr(); err != nil {
 		return err
 	}
-	if rd.joinIndex < 0 {
-		rd.joinIndex = w.index
-	}
 	// Rider-local view: shared read-only adjacency and page identity, own
 	// group membership, own window-local tallies, no pins of its own
-	// (pinned nil — the sweep owns the buffer pins).
+	// (pinned nil — the sweep owns the buffer pins). The window holding
+	// the resume cursor starts at the cursor: earlier vertices are then
+	// external to it, exactly as in a window that began there.
+	lo := max(b.Lo, rd.cursor)
 	src := w.lw
 	lw := &levelWindow{
 		verts:       make([][]graph.VertexID, len(r.p.Groups)),
 		adj:         src.adj,
-		lo:          src.lo,
+		lo:          r.e.all[lo],
 		hi:          src.hi,
 		pages:       src.pages,
 		loadedPages: src.loadedPages,
@@ -652,84 +468,87 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	for g := range r.p.Groups {
 		lw.verts[g] = sliceRange(r.cand[g][0].slice(r.e.all), lw.lo, lw.hi)
 	}
-	// Path-pin accounting: deep-level windows treat the shared pages as
-	// free budget, exactly as a solo run treats its own level-1 pins.
+	// Path-pin accounting: deep-level windows treat the level-1 pages as
+	// free budget — they stay pinned for the window's lifetime.
 	for _, pid := range lw.pages {
 		r.pathPinned[pid]++
-	}
-	releasePins := func() {
-		for _, pid := range lw.pages {
-			r.pathPinned[pid]--
-			if r.pathPinned[pid] == 0 {
-				delete(r.pathPinned, pid)
-			}
-		}
 	}
 	r.winData[0] = lw
 	ord := r.windowsPer[0] + 1
 	windowStart := time.Now()
+	if rd.s.private {
+		windowStart = w.start // the rider's own load is part of its window
+	}
 	r.winSpan[0] = r.span()
 	if r.tracer != nil {
-		r.emit(obs.Event{Event: "window_open", Level: 1, Window: ord, Verts: len(w.verts),
-			Lo: uint64(lw.lo), Hi: uint64(lw.hi), Span: r.winSpan[0], Parent: r.querySpan})
+		r.emit(obs.Event{Event: "window_open", Level: 1, Window: ord, Verts: b.Hi - lo,
+			Lo: uint64(lw.lo), Hi: uint64(lw.hi), Span: r.winSpan[0], Parent: r.levelSpan[0]})
+		if rd.s.private {
+			r.emit(obs.Event{Event: "window_pinned", Level: 1, Window: ord,
+				Pages: len(lw.pages), DurUS: w.wait.Microseconds(), Span: r.winSpan[0]})
+		}
 	}
 	r.windowsPer[0]++
-	r.windows1++
 	r.em.windows.Inc()
 	r.em.windowsLevel1.Inc()
-	rd.sharedPages += uint64(len(lw.pages))
 	if r.scope != nil {
 		r.scope.Windows.Add(1)
 		r.scope.WindowsLevel1.Add(1)
-		r.scope.SharedPages.Add(uint64(len(lw.pages)))
+	}
+	if !rd.s.private {
+		rd.sharedPages += uint64(len(lw.pages))
+		if r.scope != nil {
+			r.scope.SharedPages.Add(uint64(len(lw.pages)))
+		}
 	}
 
-	if r.k == 1 {
-		// Single-level plans: the whole window is the internal area.
-		r.dispatchInternal(lw)
-		r.workers.drain()
-		r.settleWindowCounts(lw)
-	} else {
-		r.computeChildCandidates(0)
-		r.dispatchInternal(lw)
-		if err := r.processLevel(1); err != nil {
-			// Internal tasks still reference lw; they must finish before
-			// the sweep releases the window's pins.
-			r.workers.drain()
-			r.winData[0] = nil
-			releasePins()
-			return err
-		}
-		r.workers.drain()
-		r.settleWindowCounts(lw)
-		r.clearChildCandidates(0)
+	r.computeChildCandidates(0)
+	r.dispatchInternal(lw)
+	var err error
+	if r.k > 1 {
+		err = r.processLevel(1)
 	}
+	// Internal tasks still reference lw; they must finish before the sweep
+	// releases the window's pins.
+	r.workers.drain()
 	r.winData[0] = nil
-	releasePins()
+	r.unloadWindow(lw)
+	if err != nil {
+		return err
+	}
+	r.settleWindowCounts(lw)
+	r.clearChildCandidates(0)
 	if r.tracer != nil {
 		r.emit(obs.Event{Event: "window_close", Level: 1, Window: ord,
 			DurUS: time.Since(windowStart).Microseconds(),
-			Span:  r.winSpan[0], Parent: r.querySpan})
+			Span:  r.winSpan[0], Parent: r.levelSpan[0]})
 	}
 	if err := r.firstErr(); err != nil {
 		return err
 	}
 	rd.processed++
-	if rd.joinIndex == 0 {
-		// The consumed prefix 0..index is exactly what a solo run would
-		// have completed: the frontier is a valid solo resume cursor.
-		r.emitCheckpoint(rd.s.bounds[w.index].Hi)
+	if lo == rd.frontier {
+		// The settled prefix [0, Hi) is exactly what an uninterrupted pass
+		// would have completed: the frontier is a valid resume cursor.
+		rd.frontier = b.Hi
+		r.emitCheckpoint(b.Hi)
+	} else {
+		rd.frontier = -1
 	}
 	return nil
 }
 
-// Finish settles the rider into a Result (the shared-scan analogue of
-// RunSpecContext's tail). The pool I/O deltas stay zero — physical reads
-// are owned by the sweep; the rider's consumption is SharedPages.
+// Finish settles the rider into a Result. A shared rider's pool I/O deltas
+// stay zero — physical reads are owned by the sweep; the rider's
+// consumption is SharedPages. A solo run adds its pool delta itself.
 func (rd *Rider) Finish() (*Result, error) {
 	r := rd.r
 	if err := r.firstErr(); err != nil {
 		return nil, err
+	}
+	if r.levelSpan[0] != 0 {
+		r.emit(obs.Event{Event: "level_end", Level: 1, Span: r.levelSpan[0], Parent: r.querySpan,
+			DurUS: time.Since(rd.startExec).Microseconds()})
 	}
 	total := r.internalCount.Load() + r.externalCount.Load()
 	r.emit(obs.Event{Event: "run_end", Count: total, DurUS: time.Since(rd.startExec).Microseconds(),
@@ -748,9 +567,10 @@ func (rd *Rider) Finish() (*Result, error) {
 		Plan:            r.p,
 		PrepTime:        r.p.PrepTime,
 		ExecTime:        time.Since(rd.startExec),
-		Level1Windows:   r.windows1,
+		Resumed:         rd.resumed,
+		Level1Windows:   r.windowsPer[0],
 		WindowsPerLevel: r.windowsPer,
-		BufferFrames:    rd.s.riderFrames,
+		BufferFrames:    rd.frames,
 		IOWait:          r.ioWait,
 		WindowRetries:   r.windowRetries,
 		Metrics:         rd.s.e.reg.Snapshot(),

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dualsim/internal/delta"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/plan"
@@ -208,8 +209,98 @@ func TestSweepLateJoinEarlyFinish(t *testing.T) {
 	}
 }
 
-// TestSweepRiderEligibility: resume specs bounce with ErrRiderNotEligible
-// and a busy engine refuses a second sweep (and solo runs) until Close.
+// TestSweepRiderResumesCheckpoint: a checkpoint taken by a 16-frame solo
+// engine, its cursor strictly inside a window of the 96-frame sweep
+// partition, boards that sweep as a late joiner beside a fresh rider. The
+// resumed rider skips the windows its checkpoint settled, narrows the
+// window holding the cursor to start there, and finishes with the
+// uninterrupted count.
+func TestSweepRiderResumesCheckpoint(t *testing.T) {
+	tri := graph.Triangle()
+	e, solo := sweepFixture(t, 96, []*graph.Query{tri})
+	want := solo[tri.Name()]
+	p := mustPlan(t, tri)
+	ctx := context.Background()
+
+	small, err := NewEngine(e.DB(), Options{Threads: 2, BufferFrames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cps []Checkpoint
+	_, err = small.RunSpecContext(ctx, RunSpec{Plan: p, OnCheckpoint: func(cp Checkpoint) { cps = append(cps, cp) }})
+	small.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := e.NewSweep(SweepOptions{MaxRiders: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := s.Windows()
+	// A cursor strictly inside window in (1 <= in <= w-2), so the resumed
+	// rider can board after it and meet it again only past the wrap.
+	var cp Checkpoint
+	in := -1
+	for _, c := range cps {
+		for j := 1; j < w-1 && in < 0; j++ {
+			if b := s.Bounds(j); b.Lo < c.Cursor && c.Cursor < b.Hi {
+				cp, in = c, j
+			}
+		}
+	}
+	if in < 0 {
+		t.Fatalf("no checkpoint cursor falls strictly inside an inner sweep window (%d checkpoints, %d windows)", len(cps), w)
+	}
+
+	fresh, err := s.NewRider(ctx, RunSpec{Plan: p}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumed *Rider
+	join := in + 1
+	for i := 0; !fresh.Done() || resumed == nil || !resumed.Done(); i++ {
+		idx := i % w
+		if idx == join && resumed == nil {
+			if resumed, err = s.NewRider(ctx, RunSpec{Plan: p, Resume: &cp}, 2); err != nil {
+				t.Fatalf("resume rider: %v", err)
+			}
+		}
+		sw, err := s.Load(ctx, idx, (idx+1)%w)
+		if err != nil {
+			t.Fatalf("Load(%d): %v", idx, err)
+		}
+		for _, rd := range []*Rider{fresh, resumed} {
+			if rd != nil && !rd.Done() {
+				if err := rd.ProcessWindow(sw); err != nil {
+					t.Fatalf("ProcessWindow(%d): %v", idx, err)
+				}
+			}
+		}
+		s.Release(sw)
+	}
+	for name, rd := range map[string]*Rider{"fresh": fresh, "resumed": resumed} {
+		res, err := rd.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd.Close()
+		if res.Count != want {
+			t.Errorf("%s rider count %d, uninterrupted %d", name, res.Count, want)
+		}
+		if name == "resumed" {
+			// Windows before the cursor's are skipped, not enumerated.
+			if !res.Resumed || res.Level1Windows != cp.Windows+w-in {
+				t.Errorf("resumed rider: resumed=%v level-1 windows %d, want %d", res.Resumed, res.Level1Windows, cp.Windows+w-in)
+			}
+		}
+	}
+}
+
+// TestSweepRiderEligibility: a rider whose overlay is not the sweep's
+// bounces with ErrRiderNotEligible, and a busy engine refuses a second
+// sweep (and solo runs) until Close.
 func TestSweepRiderEligibility(t *testing.T) {
 	tri := graph.Triangle()
 	e, _ := sweepFixture(t, 96, []*graph.Query{tri})
@@ -218,9 +309,13 @@ func TestSweepRiderEligibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := delta.NewStore(e.DB().NumVertices(), 0)
+	if _, err := st.Apply([]delta.Op{{Insert: true, U: 0, V: 1}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.NewRider(context.Background(),
-		RunSpec{Plan: mustPlan(t, tri), Resume: &Checkpoint{}}, 1); !errors.Is(err, ErrRiderNotEligible) {
-		t.Fatalf("resume spec: err = %v, want ErrRiderNotEligible", err)
+		RunSpec{Plan: mustPlan(t, tri), Overlay: st.Snapshot()}, 1); !errors.Is(err, ErrRiderNotEligible) {
+		t.Fatalf("overlay spec: err = %v, want ErrRiderNotEligible", err)
 	}
 	if _, err := e.NewSweep(SweepOptions{}); !errors.Is(err, ErrEngineBusy) {
 		t.Fatalf("second sweep: err = %v, want ErrEngineBusy", err)

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dualsim/internal/buffer"
 	"dualsim/internal/delta"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
@@ -56,36 +59,19 @@ type levelWindow struct {
 	external atomic.Uint64
 }
 
-// processLevel drives the merged-window iteration at level l (Algorithm 1
-// lines 7-16 for l == 0, Algorithm 2 otherwise). Windows at level l nest
-// inside the current windows of all earlier levels.
+// processLevel drives the merged-window iteration at deep level l >= 1
+// (Algorithm 2; level 1 is the sweep's, see Rider.ProcessWindow). Windows
+// at level l nest inside the current windows of all earlier levels.
 func (r *run) processLevel(l int) error {
-	if r.pathPinned == nil {
-		r.pathPinned = make(map[storage.PageID]int)
-	}
-	merged := r.mergedCandidates(l)
-	iter := windowIterator{r: r, level: l, merged: merged}
-	if l == 0 && r.resumeCursor > 0 {
-		// Resume: skip every level-1 window before the checkpoint cursor.
-		// Level 1 is always a forest root, so merged is the full vertex
-		// range and the cursor is an engine-independent vertex index.
-		start := r.resumeCursor
-		if start > len(merged) {
-			start = len(merged)
-		}
-		iter.start = start
-	}
+	iter := windowIterator{r: r, level: l, merged: r.mergedCandidates(l)}
 	// Settle the level's speculative reads on every exit path (error,
 	// cancellation, level exhausted): leftover pins must be released before
 	// the caller unloads outer windows or the run returns.
 	defer r.settlePrefetch(l)
 	// Attributed runs trace each processLevel invocation as a level span
-	// nested under the enclosing window (or the query span at level 1).
+	// nested under the enclosing window.
 	if lvlSpan := r.span(); lvlSpan != 0 {
-		parent := r.querySpan
-		if l > 0 {
-			parent = r.winSpan[l-1]
-		}
+		parent := r.winSpan[l-1]
 		r.levelSpan[l] = lvlSpan
 		levelStart := time.Now()
 		r.emit(obs.Event{Event: "level_start", Level: l + 1, Span: lvlSpan, Parent: parent})
@@ -94,6 +80,7 @@ func (r *run) processLevel(l int) error {
 				DurUS: time.Since(levelStart).Microseconds()})
 		}()
 	}
+	lastLevel := l == r.k-1
 	for iter.next() {
 		// Cancellation gate: every window iteration at every level checks
 		// the run's context, so a cancel stops the traversal within one
@@ -117,7 +104,7 @@ func (r *run) processLevel(l int) error {
 			}
 			r.emit(ev)
 		}
-		lw, err := r.loadWindowWithRetry(l, verts, l == r.k-1 && r.k > 1, ord)
+		lw, err := r.loadWindowWithRetry(l, verts, lastLevel, ord)
 		if err != nil {
 			return err
 		}
@@ -126,60 +113,32 @@ func (r *run) processLevel(l int) error {
 		// its page set is computable from the iterator without loading.
 		r.startPrefetch(l, &iter, lw)
 		r.windowsPer[l]++
-		if l == 0 {
-			r.windows1++
-		}
 		r.em.windows.Inc()
-		if l == 0 {
-			r.em.windowsLevel1.Inc()
-		}
 		if r.scope != nil {
 			r.scope.Windows.Add(1)
-			if l == 0 {
-				r.scope.WindowsLevel1.Add(1)
-			}
 		}
 
-		if l == r.k-1 {
-			if r.k > 1 {
-				// Last level: matching already dispatched page-by-page as
-				// reads completed (loadWindow); handle split vertices.
-				r.dispatchSplitVertices(lw)
-				drainStart := time.Now()
-				r.workers.drain()
-				if r.tracer != nil {
-					r.emit(obs.Event{Event: "external_enum", Level: l + 1, Window: ord,
-						Verts: len(verts), DurUS: time.Since(drainStart).Microseconds(),
-						Span: r.winSpan[l]})
-				}
-			} else {
-				// Single-level plans: the whole window is the internal area.
-				r.dispatchInternal(lw)
-				r.workers.drain()
+		if lastLevel {
+			// Matching already dispatched page-by-page as reads completed
+			// (loadWindow); handle split vertices.
+			r.dispatchSplitVertices(lw)
+			drainStart := time.Now()
+			r.workers.drain()
+			if r.tracer != nil {
+				r.emit(obs.Event{Event: "external_enum", Level: l + 1, Window: ord,
+					Verts: len(verts), DurUS: time.Since(drainStart).Microseconds(),
+					Span: r.winSpan[l]})
 			}
 			r.settleWindowCounts(lw)
 		} else {
 			r.computeChildCandidates(l)
-			if l == 0 {
-				// Overlap internal enumeration with the external traversal.
-				r.dispatchInternal(lw)
-			}
 			if err := r.processLevel(l + 1); err != nil {
-				if l == 0 {
-					// Internal tasks still reference lw; let them finish
-					// before the pins go.
-					r.workers.drain()
-				}
-				r.unloadWindow(l, lw)
+				r.unloadWindow(lw)
 				return err
-			}
-			if l == 0 {
-				r.workers.drain() // internal tasks may still be running
-				r.settleWindowCounts(lw)
 			}
 			r.clearChildCandidates(l)
 		}
-		r.unloadWindow(l, lw)
+		r.unloadWindow(lw)
 		if r.tracer != nil {
 			r.emit(obs.Event{Event: "window_close", Level: l + 1, Window: ord,
 				DurUS: time.Since(windowStart).Microseconds(),
@@ -187,12 +146,6 @@ func (r *run) processLevel(l int) error {
 		}
 		if err := r.firstErr(); err != nil {
 			return err
-		}
-		if l == 0 {
-			// The frontier is settled: deeper windows are exhausted, the
-			// worker pool is drained, counts are merged. This boundary is
-			// the run's recovery point.
-			r.emitCheckpoint(iter.start)
 		}
 	}
 	r.winData[l] = nil
@@ -234,7 +187,7 @@ func (r *run) emitCheckpoint(cursor int) {
 	r.onCheckpoint(Checkpoint{
 		K:        r.k,
 		Cursor:   cursor,
-		Windows:  r.windows1,
+		Windows:  r.windowsPer[0],
 		Internal: r.internalCount.Load(),
 		External: r.externalCount.Load(),
 	})
@@ -447,28 +400,47 @@ func (r *run) startPrefetch(l int, it *windowIterator, lw *levelWindow) {
 		return
 	}
 	pf := r.prefetch[l]
-	pids := it.peekNextPages(lw, pf.Budget())
-	if len(pids) == 0 {
-		return
-	}
-	n := pf.Start(r.ctx, pids)
-	r.em.prefetchIssued.Add(uint64(n))
-	if r.scope != nil && n > 0 {
-		r.scope.PrefetchIssued.Add(uint64(n))
-	}
+	issuePrefetch(r.ctx, pf, it.peekNextPages(lw, pf.Budget()), r.em, r.scope)
 }
 
 // settlePrefetch cancels and releases whatever the level's prefetcher still
 // holds, counting it all as wasted (the window-skip / error-exit path).
 func (r *run) settlePrefetch(l int) {
-	if r.prefetch == nil || r.prefetch[l] == nil {
+	if r.prefetch != nil {
+		collectPrefetch(r.prefetch[l], nil, r.em, r.scope)
+	}
+}
+
+// issuePrefetch starts pf's speculative round over pids and counts it.
+func issuePrefetch(ctx context.Context, pf *buffer.Prefetcher, pids []storage.PageID, em *engineMetrics, scope *obs.Scope) {
+	if len(pids) == 0 {
 		return
 	}
-	_, wasted := r.prefetch[l].Collect(nil)
+	n := pf.Start(ctx, pids)
+	em.prefetchIssued.Add(uint64(n))
+	if scope != nil && n > 0 {
+		scope.PrefetchIssued.Add(uint64(n))
+	}
+}
+
+// collectPrefetch settles pf's speculative round (nil pf: no-op), releasing
+// its pins: pages want reports as needed count as useful, the rest (all of
+// them for a nil want) as wasted.
+func collectPrefetch(pf *buffer.Prefetcher, want func(storage.PageID) bool, em *engineMetrics, scope *obs.Scope) {
+	if pf == nil {
+		return
+	}
+	useful, wasted := pf.Collect(want)
+	if useful > 0 {
+		em.prefetchUseful.Add(uint64(useful))
+		if scope != nil {
+			scope.PrefetchUseful.Add(uint64(useful))
+		}
+	}
 	if wasted > 0 {
-		r.em.prefetchWasted.Add(uint64(wasted))
-		if r.scope != nil {
-			r.scope.PrefetchWasted.Add(uint64(wasted))
+		em.prefetchWasted.Add(uint64(wasted))
+		if scope != nil {
+			scope.PrefetchWasted.Add(uint64(wasted))
 		}
 	}
 }
@@ -493,7 +465,7 @@ func (r *run) loadWindowWithRetry(l int, verts []graph.VertexID, lastLevel bool,
 		if lastLevel {
 			r.workers.drain()
 		}
-		r.unloadWindow(l, lw)
+		r.unloadWindow(lw)
 		lw.internal.Store(0)
 		lw.external.Store(0)
 		if attempt >= r.e.opts.WindowRetries || !storage.IsTransient(err) || r.ctx.Err() != nil {
@@ -515,176 +487,59 @@ func (r *run) loadWindowWithRetry(l int, verts []graph.VertexID, lastLevel bool,
 			r.emit(obs.Event{Event: "window_retry", Level: l + 1, Window: ord, Attempt: attempt + 1,
 				Span: r.winSpan[l]})
 		}
-		if !r.sleepWindowBackoff(attempt) {
+		if !sleepBackoff(r.ctx, r.e.opts, attempt) {
 			r.fail(r.ctx.Err())
 			return nil, r.ctx.Err()
 		}
 	}
 }
 
-// sleepWindowBackoff waits the attempt's window-level backoff (0-based,
-// doubling from WindowRetryBackoff up to WindowRetryMaxBackoff), honouring
-// the run context. Reports false when the context ended first.
-func (r *run) sleepWindowBackoff(attempt int) bool {
-	d := r.e.opts.WindowRetryBackoff
-	if d <= 0 {
-		d = 10 * time.Millisecond
-	}
-	max := r.e.opts.WindowRetryMaxBackoff
-	if max <= 0 {
-		max = 250 * time.Millisecond
-	}
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	if sleep := r.e.opts.WindowRetrySleep; sleep != nil {
-		sleep(d)
-		return r.ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.ctx.Done():
-		return false
-	}
-}
-
-// loadWindow pins every page needed by the window's vertices, builds the
-// merged adjacency map, and splits the window per group. When lastLevel is
-// set, complete records are dispatched to the matching workers as each page
-// load completes, overlapping CPU with the remaining I/O. On error the
-// window is returned alongside it still holding its pins — the caller
-// (loadWindowWithRetry) drains in-flight tasks before unloading it.
+// loadWindow pins every page needed by a deep-level window's vertices,
+// builds the merged adjacency map, and splits the window per group. When
+// lastLevel is set, complete records are dispatched to the matching
+// workers as each page load completes, overlapping CPU with the remaining
+// I/O. On error the window is returned alongside it still holding its pins
+// — the caller (loadWindowWithRetry) drains in-flight tasks before
+// unloading it.
 func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool) (*levelWindow, error) {
-	lw := &levelWindow{
-		verts:       make([][]graph.VertexID, len(r.p.Groups)),
-		adj:         make(map[graph.VertexID][]graph.VertexID),
-		pinned:      make(map[storage.PageID]bool),
-		loadedPages: make(map[storage.PageID]*storage.Page),
-	}
-	if lastLevel {
-		lw.comp = make(map[graph.VertexID]graph.CompressedAdj)
-	}
-	if len(verts) > 0 {
-		lw.lo, lw.hi = verts[0], verts[len(verts)-1]
-	}
-	// Page list: union of vertex spans, ascending (sequential issue order).
-	var pages []storage.PageID
-	seen := make(map[storage.PageID]bool)
-	for _, v := range verts {
-		first, last := r.e.db.SpanOf(v)
-		for p := first; p <= last; p++ {
-			if !seen[p] {
-				seen[p] = true
-				pages = append(pages, p)
-			}
-		}
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	lw.pages = pages
-
-	// Settle the level's speculative round before issuing this window's
-	// reads: pages the prediction got right are still resident and turn the
-	// reads below into buffer hits; the speculative pins are released first
-	// so the pool's worst case stays within the level's allocation.
-	if r.prefetch != nil && r.prefetch[l] != nil {
-		useful, wasted := r.prefetch[l].Collect(func(pid storage.PageID) bool { return seen[pid] })
-		if useful > 0 {
-			r.em.prefetchUseful.Add(uint64(useful))
-			if r.scope != nil {
-				r.scope.PrefetchUseful.Add(uint64(useful))
-			}
-		}
-		if wasted > 0 {
-			r.em.prefetchWasted.Add(uint64(wasted))
-			if r.scope != nil {
-				r.scope.PrefetchWasted.Add(uint64(wasted))
-			}
-		}
-	}
-
+	lw := newLevelWindow(r.e.db, verts, len(r.p.Groups), lastLevel)
 	// Window membership per group: the intersection of the group's candidate
 	// sequence with the merged window range, precomputed so last-level
 	// callbacks can run before all pages land.
 	for g := range r.p.Groups {
 		lw.verts[g] = sliceRange(r.cand[g][l].slice(r.e.all), lw.lo, lw.hi)
 	}
-
+	for _, pid := range lw.pages {
+		r.pathPinned[pid]++
+	}
 	// With a live-ingest overlay, pre-seal dispatch is off: a record's
 	// on-disk adjacency may be stale, and the merged view exists only
-	// after applyOverlay runs under the seal. Page tasks are dispatched
-	// post-seal instead — the overlap with I/O is lost for mutated runs,
-	// the price of reading one consistent graph version.
+	// after the overlay is applied under the seal. Page tasks are
+	// dispatched post-seal instead — the overlap with I/O is lost for
+	// mutated runs, the price of reading one consistent graph version.
 	eager := lastLevel && r.overlay == nil
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	onPage := func(pid storage.PageID, page *storage.Page, err error) {
+	var pf *buffer.Prefetcher
+	if r.prefetch != nil {
+		pf = r.prefetch[l]
+	}
+	wait, _ := r.e.fillWindow(r.ctx, lw, pf, r.scope, r.overlay, func(page *storage.Page, err error) {
 		if err != nil {
 			r.fail(err)
-			return
-		}
-		mu.Lock()
-		lw.pinned[pid] = true
-		lw.loadedPages[pid] = page
-		crecs, cbytes := indexPageRecords(page, lw.adj, lw.comp, lastLevel)
-		mu.Unlock()
-		if crecs > 0 {
-			r.em.compressedRecs.Add(crecs)
-			r.em.compressedBytes.Add(cbytes)
-		}
-		if eager {
+		} else if eager {
 			// Overlap: match complete records while later pages load.
 			r.workers.submit(func() { r.extMapPage(page, lw) })
 		}
-	}
-	// Issue maximal contiguous runs: the pool serves each with one simulated
-	// seek (one device request under a RunReader), delivering pages in order.
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 {
-			j++
-		}
-		for _, pid := range pages[i:j] {
-			r.pathPinned[pid]++
-		}
-		wg.Add(j - i)
-		r.e.pool.AsyncReadRunContext(r.ctx, pages[i], j-i, &wg, onPage)
-		i = j
-	}
-	waitStart := time.Now()
-	wg.Wait()
-	wait := time.Since(waitStart)
+	})
 	r.ioWait += wait
-	r.em.ioWaitNanos.Add(uint64(wait.Nanoseconds()))
-	if r.scope != nil {
-		r.scope.IOWaitNanos.Add(uint64(wait.Nanoseconds()))
-	}
-	r.em.windowLoadUS.Observe(wait.Microseconds())
-	r.em.windowPages.Observe(int64(len(pages)))
 	if r.tracer != nil {
 		r.emit(obs.Event{Event: "window_pinned", Level: l + 1, Window: r.windowsPer[l] + 1,
-			Pages: len(pages), DurUS: wait.Microseconds(), Span: r.winSpan[l]})
+			Pages: len(lw.pages), DurUS: wait.Microseconds(), Span: r.winSpan[l]})
 	}
+	// Read errors reached the run through the callback; a different failure
+	// that landed meanwhile fails this window too.
 	if err := r.firstErr(); err != nil {
 		return lw, err
 	}
-	// Merge split adjacency lists (multi-page vertices) for window vertices.
-	r.mergeSplitRecords(lw)
-	// Fold the live-ingest overlay in: every mutated vertex indexed by this
-	// window gets its merged (base ∪ adds) \ tombstones adjacency, at every
-	// level — child candidates, internal enumeration, and descent-time
-	// lookups all read lw.adj. Runs after mergeSplitRecords (whose
-	// degree check is against the base directory) and before the seal.
-	r.applyOverlay(lw)
-	// Seal: adj is complete and read-only from here on. Already-dispatched
-	// page tasks that observed the window unsealed keep using their own
-	// page's records; everything dispatched after this point reads adj.
-	lw.sealed.Store(true)
 	if lastLevel && r.overlay != nil {
 		// The overlay suppressed pre-seal dispatch; match every page now
 		// that adj is merged and sealed. Mutated vertices are rooted
@@ -703,19 +558,142 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool) (*levelW
 	return lw, nil
 }
 
+// newLevelWindow describes the window over verts (ascending): its vertex
+// range, the ascending union of the vertices' page spans, and empty
+// indexes, with room for groups per-group vertex windows. Last-level
+// windows also index lazily parsed compressed records (comp).
+func newLevelWindow(db Database, verts []graph.VertexID, groups int, lastLevel bool) *levelWindow {
+	lw := &levelWindow{
+		verts:       make([][]graph.VertexID, groups),
+		adj:         make(map[graph.VertexID][]graph.VertexID),
+		pinned:      make(map[storage.PageID]bool),
+		loadedPages: make(map[storage.PageID]*storage.Page),
+		pages:       spanPages(db, verts, nil),
+	}
+	if lastLevel {
+		lw.comp = make(map[graph.VertexID]graph.CompressedAdj)
+	}
+	if len(verts) > 0 {
+		lw.lo, lw.hi = verts[0], verts[len(verts)-1]
+	}
+	return lw
+}
+
+// spanPages returns the ascending union of the page spans of verts, minus
+// the pages skip reports (nil skips none).
+func spanPages(db Database, verts []graph.VertexID, skip func(storage.PageID) bool) []storage.PageID {
+	var pages []storage.PageID
+	seen := make(map[storage.PageID]bool)
+	for _, v := range verts {
+		first, last := db.SpanOf(v)
+		for p := first; p <= last; p++ {
+			if !seen[p] && (skip == nil || !skip(p)) {
+				seen[p] = true
+				pages = append(pages, p)
+			}
+		}
+	}
+	slices.Sort(pages)
+	return pages
+}
+
+// fillWindow is the one window loader, shared by the sweep's level-1 loads
+// and the deep levels: it settles the level's speculative round pf (nil:
+// none), pins every page of lw issued as maximal ascending runs, indexes
+// the loaded records into lw.adj (and lw.comp for last-level windows), and
+// — once every read landed — merges split records, folds the overlay ov in
+// (nil: the base graph) and seals the window. onPage, when non-nil, runs
+// for every settled read (err set on failure) after the page is indexed.
+// Returns the I/O wait and the first read error; a failed window comes
+// back unsealed, still holding the pins of the pages that did load.
+func (e *Engine) fillWindow(ctx context.Context, lw *levelWindow, pf *buffer.Prefetcher, scope *obs.Scope, ov *delta.Snapshot, onPage func(*storage.Page, error)) (time.Duration, error) {
+	pages := lw.pages
+	// Settle the level's speculative round before issuing this window's
+	// reads: pages the prediction got right are still resident and turn the
+	// reads below into buffer hits; the speculative pins are released first
+	// so the pool's worst case stays within the level's allocation.
+	collectPrefetch(pf, func(pid storage.PageID) bool {
+		_, ok := slices.BinarySearch(pages, pid)
+		return ok
+	}, e.em, scope)
+
+	keepCompressed := lw.comp != nil
+	var mu sync.Mutex
+	var firstErr error
+	var wg sync.WaitGroup
+	cb := func(pid storage.PageID, page *storage.Page, err error) {
+		mu.Lock()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+		} else {
+			lw.pinned[pid] = true
+			lw.loadedPages[pid] = page
+			crecs, cbytes := indexPageRecords(page, lw.adj, lw.comp, keepCompressed)
+			if crecs > 0 {
+				e.em.compressedRecs.Add(crecs)
+				e.em.compressedBytes.Add(cbytes)
+			}
+		}
+		mu.Unlock()
+		if onPage != nil {
+			onPage(page, err)
+		}
+	}
+	// Issue maximal contiguous runs: the pool serves each with one simulated
+	// seek (one device request under a RunReader), delivering pages in order.
+	for i := 0; i < len(pages); {
+		j := i + 1
+		for j < len(pages) && pages[j] == pages[j-1]+1 {
+			j++
+		}
+		wg.Add(j - i)
+		e.pool.AsyncReadRunContext(ctx, pages[i], j-i, &wg, cb)
+		i = j
+	}
+	waitStart := time.Now()
+	wg.Wait()
+	wait := time.Since(waitStart)
+	e.em.ioWaitNanos.Add(uint64(wait.Nanoseconds()))
+	if scope != nil {
+		scope.IOWaitNanos.Add(uint64(wait.Nanoseconds()))
+	}
+	e.em.windowLoadUS.Observe(wait.Microseconds())
+	e.em.windowPages.Observe(int64(len(pages)))
+	if firstErr != nil {
+		return wait, firstErr
+	}
+	// Merge split adjacency lists (multi-page vertices) for window vertices.
+	e.mergeSplitRecords(lw)
+	// Fold the live-ingest overlay in: every mutated vertex indexed by this
+	// window gets its merged (base ∪ adds) \ tombstones adjacency, at every
+	// level — child candidates, internal enumeration, and descent-time
+	// lookups all read lw.adj. Runs after mergeSplitRecords (whose degree
+	// check is against the base directory) and before the seal.
+	if n := applyOverlay(ov, lw); n > 0 {
+		e.em.overlayVertices.Add(n)
+	}
+	// Seal: adj is complete and read-only from here on. Already-dispatched
+	// page tasks that observed the window unsealed keep using their own
+	// page's records; everything dispatched after this point reads adj.
+	lw.sealed.Store(true)
+	return wait, nil
+}
+
 // applyOverlay rewrites the adjacency index of every overlay-mutated vertex
-// the window loaded: compressed spans of mutated vertices decode first
-// (a compressed operand cannot represent the merged list), then the
-// overlay applies. Vertices whose records live on the window's pages but
-// outside the vertex window are merged too — descent-time lookups resolve
-// any indexed vertex through lw.adj, and all of them must agree on the
-// graph version. No-op without an overlay.
-func (r *run) applyOverlay(lw *levelWindow) {
-	if r.overlay == nil {
-		return
+// the window loaded and returns how many it merged: compressed spans of
+// mutated vertices decode first (a compressed operand cannot represent the
+// merged list), then the overlay applies. Vertices whose records live on
+// the window's pages but outside the vertex window are merged too —
+// descent-time lookups resolve any indexed vertex through lw.adj, and all
+// of them must agree on the graph version. No-op for a nil overlay.
+func applyOverlay(ov *delta.Snapshot, lw *levelWindow) uint64 {
+	if ov == nil {
+		return 0
 	}
 	merged := uint64(0)
-	r.overlay.Vertices(func(v graph.VertexID, _ *delta.VertexDelta) {
+	ov.Vertices(func(v graph.VertexID, _ *delta.VertexDelta) {
 		base, ok := lw.adj[v]
 		if !ok {
 			if comp, cok := lw.comp[v]; cok {
@@ -725,12 +703,10 @@ func (r *run) applyOverlay(lw *levelWindow) {
 				return // not indexed by this window
 			}
 		}
-		lw.adj[v] = r.overlay.Apply(v, base)
+		lw.adj[v] = ov.Apply(v, base)
 		merged++
 	})
-	if merged > 0 {
-		r.em.overlayVertices.Add(merged)
-	}
+	return merged
 }
 
 // dispatchOverlayVertices roots last-level matching for overlay-mutated
@@ -813,7 +789,7 @@ func indexPageRecords(page *storage.Page, adj map[graph.VertexID][]graph.VertexI
 // lw.adj. Window chopping keeps a vertex's span inside one window, so all
 // chunks are present. Split chunks always decode — a multi-page list is
 // reassembled by concatenation, which a compressed span cannot represent.
-func (r *run) mergeSplitRecords(lw *levelWindow) {
+func (e *Engine) mergeSplitRecords(lw *levelWindow) {
 	var split map[graph.VertexID][]graph.VertexID
 	for _, pid := range lw.pages {
 		page := lw.loadedPages[pid]
@@ -831,7 +807,7 @@ func (r *run) mergeSplitRecords(lw *levelWindow) {
 		}
 	}
 	for v, adj := range split {
-		if len(adj) == r.e.db.Degree(v) {
+		if len(adj) == e.db.Degree(v) {
 			lw.adj[v] = adj
 		}
 		// Incomplete merges belong to vertices outside the window (their
@@ -871,9 +847,9 @@ func (r *run) dispatchSplitVertices(lw *levelWindow) {
 
 // unloadWindow releases the window: path-pin accounting covers every page
 // the window asked for, but only successfully loaded pages hold a buffer
-// pin (loads can fail mid-window).
-func (r *run) unloadWindow(l int, lw *levelWindow) {
-	_ = l
+// pin (loads can fail mid-window; a rider's view of a sweep window holds
+// none — the sweep owns those pins).
+func (r *run) unloadWindow(lw *levelWindow) {
 	for _, pid := range lw.pages {
 		r.pathPinned[pid]--
 		if r.pathPinned[pid] == 0 {

@@ -255,9 +255,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resumedFrom = payload.Trace
 	}
 
-	// Admission. Cohort-eligible queries (ShareScan on, no resume token,
-	// no pending overlay — shared sweeps load windows once for N riders,
-	// so they serve only the base graph) bypass the solo pool: their
+	// Admission. Cohort-eligible queries (ShareScan on, no pending overlay
+	// — shared sweeps load windows once for N riders, so they serve only
+	// the base graph; a resume token rides like any other query and skips
+	// the windows its checkpoint settled) bypass the solo pool: their
 	// concurrency is bounded by the cohort — CohortMaxRiders riding plus
 	// QueueDepth boarding — rather than an engine slot, so N compatible
 	// queries share one sweep instead of serializing onto the solo
@@ -266,7 +267,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Everything else takes the solo path: bounded queue, bounded wait,
 	// per-request deadline.
 	sched := s.scheduler()
-	useCohort := sched != nil && resume == nil && (snap == nil || snap.Empty())
+	useCohort := sched != nil && (snap == nil || snap.Empty())
 	var eng *core.Engine // nil while riding the shared sweep
 	var queueNS int64
 	if useCohort {

@@ -125,16 +125,14 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// advanceEpoch publishes the store's current epoch: the plan cache drops
-// entries prepared against older data, and the base file's superblock is
-// stamped so tooling (and the compactor's output) can see how far the
+// advanceEpoch stamps the store's current epoch into the base file's
+// superblock so tooling (and the compactor's output) can see how far the
 // content on disk lags the truth. stampMu serializes concurrent batches
 // so a slower writer can never publish an older epoch over a newer one.
 func (s *Server) advanceEpoch() {
 	s.stampMu.Lock()
 	defer s.stampMu.Unlock()
 	epoch := s.store.Epoch()
-	s.cache.SetEpoch(epoch)
 	if sdb, ok := s.database().(*storage.DB); ok {
 		if err := storage.StampEpoch(sdb.Path(), epoch); err != nil {
 			log.Printf("dualsim/server: stamping epoch %d: %v", epoch, err)

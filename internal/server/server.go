@@ -101,12 +101,13 @@ type Config struct {
 	// final spans of in-flight queries are never lost. Ignored when
 	// Engine.Tracer is set explicitly.
 	TraceWriter io.Writer
-	// ShareScan enables shared-scan multi-query execution: eligible
-	// queries (no resume token) become riders on one cohort engine whose
-	// buffer is the FULL global budget, sharing a single level-1 window
-	// sweep so N concurrent queries pay one sweep's physical reads instead
-	// of N. Ineligible or bounced queries fall back to the solo pool. This
-	// is the cohort-vs-solo policy knob.
+	// ShareScan enables shared-scan multi-query execution: base-graph
+	// queries (resume-token continuations included) become riders on one
+	// cohort engine whose buffer is the FULL global budget, sharing a
+	// single level-1 window sweep so N concurrent queries pay one sweep's
+	// physical reads instead of N. Queries against a live-ingest overlay,
+	// and riders bounced for a plan too deep for the rider frame share,
+	// fall back to the solo pool. This is the cohort-vs-solo policy knob.
 	ShareScan bool
 	// CohortMaxRiders bounds how many queries ride one sweep concurrently
 	// (default 4). Arrivals beyond it queue for the next window boundary.
@@ -117,8 +118,9 @@ type Config struct {
 	// Mutable enables live ingest: POST /edges applies edge inserts and
 	// deletes to an in-memory delta overlay, every subsequent query merges
 	// the overlay into its window loads, and each applied batch advances
-	// the data epoch (invalidating cached plans and outstanding resume
-	// tokens). The base file on disk is untouched until compaction.
+	// the data epoch (invalidating outstanding resume tokens; cached plans
+	// read only the query and stay valid). The base file on disk is
+	// untouched until compaction.
 	Mutable bool
 	// CompactEvery, with Mutable, is the overlay-op threshold that kicks a
 	// background compaction: the overlay is folded into a fresh database
@@ -330,7 +332,6 @@ func New(db core.Database, cfg Config) (*Server, error) {
 			epoch = sdb.Epoch()
 		}
 		s.store = delta.NewStore(db.NumVertices(), epoch)
-		s.cache.SetEpoch(epoch)
 	}
 	s.cache.Register(reg)
 	s.sm = registerServerMetrics(reg, s)

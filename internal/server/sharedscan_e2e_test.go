@@ -156,3 +156,50 @@ func TestE2ESharedScanSublinearPages(t *testing.T) {
 		t.Errorf("slow log observed %d queries, want 36", st.SlowLog.Observed)
 	}
 }
+
+// TestE2ESharedScanResumeRides: under ShareScan a resume-token
+// continuation boards the cohort like any other query — it returns the
+// uninterrupted count and never falls back to a solo engine.
+func TestE2ESharedScanResumeRides(t *testing.T) {
+	db := buildCompleteDB(t, 32, 256) // C(32,3) = 4960 triangles
+	cfg := sharedScanConfig()
+	cfg.Engines = 1
+	cfg.RowLimit = 100_000
+	cfg.CohortMaxRiders = 2
+	// Small frames force several level-1 windows, so the truncated stream
+	// crosses a checkpoint boundary and carries a token.
+	cfg.Engine = core.Options{Threads: 1, BufferFrames: 8}
+	s := newTestServer(t, db, cfg)
+
+	resp, err := postQuery(t, s.Addr(), QueryRequest{Query: "q1", Mode: "embeddings", Limit: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := readResumableStream(t, resp.Body)
+	resp.Body.Close()
+	if !res.done || !res.trailer.Truncated || res.trailer.ResumeToken == "" {
+		t.Fatalf("truncated stream must carry a resume token: done=%v trailer=%+v", res.done, res.trailer)
+	}
+
+	fallbacks := metricValue(t, s.Addr(), "dualsim_server_cohort_fallbacks_total")
+	riders := getStats(t, s.Addr()).Cohort.RidersTotal
+	resp, err = postQuery(t, s.Addr(), QueryRequest{Query: "q1", ResumeToken: res.trailer.ResumeToken})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("resume: status %d: %s", resp.StatusCode, b)
+	}
+	qr := decodeQueryResponse(t, resp)
+	if qr.Count != 4960 || !qr.Resumed {
+		t.Errorf("resumed count = %d (resumed=%v), want 4960", qr.Count, qr.Resumed)
+	}
+	if got := metricValue(t, s.Addr(), "dualsim_server_cohort_fallbacks_total"); got != fallbacks {
+		t.Errorf("cohort fallbacks moved %v -> %v: the continuation ran solo", fallbacks, got)
+	}
+	if got := getStats(t, s.Addr()).Cohort.RidersTotal; got != riders+1 {
+		t.Errorf("cohort riders %d -> %d, want one more (the continuation)", riders, got)
+	}
+}

@@ -26,8 +26,8 @@ import (
 )
 
 // ErrNotEligible marks failures the caller should resolve by running the
-// query on a solo engine instead: resume replays, plans too deep for the
-// rider frame share, a closed scheduler, or a sweep that failed for
+// query on a solo engine instead: a live-ingest overlay, plans too deep for
+// the rider frame share, a closed scheduler, or a sweep that failed for
 // reasons unrelated to the query. It aliases core.ErrRiderNotEligible so
 // one errors.Is check covers both layers.
 var ErrNotEligible = core.ErrRiderNotEligible
@@ -178,9 +178,6 @@ type activeRider struct {
 // completes (or fails). Errors wrapping ErrNotEligible mean the query
 // itself is fine and should be retried on a solo engine.
 func (s *Scheduler) Run(ctx context.Context, spec core.RunSpec) (*core.Result, error) {
-	if spec.Resume != nil {
-		return nil, fmt.Errorf("%w: checkpoint resume", ErrNotEligible)
-	}
 	pr := &pendingRider{ctx: ctx, spec: spec, done: make(chan outcome, 1)}
 	s.mu.Lock()
 	if s.closed {

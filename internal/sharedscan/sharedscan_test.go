@@ -189,8 +189,9 @@ func TestSchedulerSharedReadsSublinear(t *testing.T) {
 		float64(cohortPages)/float64(soloPages))
 }
 
-// TestSchedulerLifecycle covers the edges: resume specs bounce with
-// ErrNotEligible before touching the sweep, a cancelled waiter leaves the
+// TestSchedulerLifecycle covers the edges: a resume spec rides (a terminal
+// checkpoint settles with its own totals, a mismatched one fails as a bad
+// checkpoint rather than bouncing to solo), a cancelled waiter leaves the
 // queue cleanly, and Close refuses new work.
 func TestSchedulerLifecycle(t *testing.T) {
 	g := randomGraph(3, 500, 2000)
@@ -203,9 +204,14 @@ func TestSchedulerLifecycle(t *testing.T) {
 	sched := New(eng, Options{MaxRiders: 2})
 	tri := mustPlan(t, graph.Triangle())
 
+	terminal := &core.Checkpoint{K: tri.K, Cursor: db.NumVertices(), Windows: 1, Internal: 7}
+	if res, err := sched.Run(context.Background(), core.RunSpec{Plan: tri, Resume: terminal}); err != nil ||
+		!res.Resumed || res.Count != 7 {
+		t.Fatalf("terminal resume: res=%+v err=%v, want the checkpoint's count 7", res, err)
+	}
 	if _, err := sched.Run(context.Background(),
-		core.RunSpec{Plan: tri, Resume: &core.Checkpoint{}}); !errors.Is(err, ErrNotEligible) {
-		t.Fatalf("resume: err = %v, want ErrNotEligible", err)
+		core.RunSpec{Plan: tri, Resume: &core.Checkpoint{}}); !errors.Is(err, core.ErrBadCheckpoint) {
+		t.Fatalf("mismatched resume: err = %v, want ErrBadCheckpoint", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

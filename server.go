@@ -77,10 +77,11 @@ type ServerConfig struct {
 	// (one engine per query, budget split N ways), compatible concurrent
 	// queries board one cohort engine holding the UNDIVIDED global budget
 	// and ride a single level-1 window sweep together — each window is read
-	// once and evaluated against every rider's v-group forest. Queries the
-	// cohort cannot take (resume continuations, budgets too tight for a
-	// rider seat) fall back to the solo pool transparently. Counts are
-	// bit-identical to solo execution either way.
+	// once and evaluated against every rider's v-group forest. Resume
+	// continuations ride like any other query; queries the cohort cannot
+	// take (a live-ingest overlay, budgets too tight for a rider seat) fall
+	// back to the solo pool transparently. Counts are bit-identical to solo
+	// execution either way.
 	ShareScan bool
 	// CohortMaxRiders caps riders per shared sweep (default 4).
 	CohortMaxRiders int
@@ -93,8 +94,9 @@ type ServerConfig struct {
 	// batch) applies edge inserts/deletes to an in-memory delta overlay
 	// that every subsequent query merges into its window loads. Each
 	// applied batch advances the data epoch — reported by every query as
-	// "data_epoch" — which invalidates cached plans and outstanding
-	// resume tokens (cross-epoch resumes get 409).
+	// "data_epoch" — which invalidates outstanding resume tokens
+	// (cross-epoch resumes get 409); cached plans read only the query and
+	// stay valid.
 	Mutable bool
 	// CompactEvery is the overlay-op threshold that triggers a background
 	// compaction: the overlay is folded into a fresh database file that
