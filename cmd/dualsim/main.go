@@ -35,6 +35,7 @@ import (
 
 	"dualsim"
 	"dualsim/internal/buildinfo"
+	"dualsim/internal/plan"
 )
 
 // Exit codes beyond the conventional 0/1/2.
@@ -242,6 +243,11 @@ func cmdQuery(args []string) error {
 	fmt.Printf("prep %v, exec %v, %d physical reads, %d frames, %d level-1 windows, %d red vertices in %d v-groups\n",
 		res.PrepTime, res.ExecTime, res.PhysicalReads, res.BufferFrames, res.Level1Windows,
 		res.RedVertices, res.VGroups)
+	// The engine planned with default options, so preparing again here
+	// (microseconds) reproduces its plan, external descent orders included.
+	if p, err := plan.Prepare(q, plan.Options{}); err == nil {
+		fmt.Println(p)
+	}
 	if res.WindowRetries > 0 {
 		fmt.Printf("recovered from transient faults via %d window retries\n", res.WindowRetries)
 	}

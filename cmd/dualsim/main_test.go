@@ -158,8 +158,10 @@ func TestCmdQueryHumanOutput(t *testing.T) {
 	if cmdErr != nil {
 		t.Fatal(cmdErr)
 	}
-	if want := "query q1-triangle: 2 occurrences"; !strings.Contains(out, want) {
-		t.Errorf("output %q missing %q", out, want)
+	for _, want := range []string{"query q1-triangle: 2 occurrences", "ext=[[0]]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output %q missing %q", out, want)
+		}
 	}
 }
 

@@ -38,10 +38,17 @@
 //
 // Algorithms 4-5 (EXTVERTEXMAPPING / RECEXTVERTEXMAPPING) are extMapPage /
 // extDescend in match.go: the last level's vertex comes from the freshly
-// loaded page, the remaining levels are matched in descending level order
-// using intersections of already-assigned vertices' adjacency lists
-// (m.connectedLists), each candidate checked against the node's current
-// window and the total order. A complete position assignment expands into
+// loaded page, and the remaining levels are matched in the v-group's
+// plan.VGroup.ExtOrder, each candidate drawn from the intersection of the
+// node's current window with the adjacency lists of assigned neighbours
+// and checked against the total order. ExtOrder departs from the paper's
+// reverse matching order: each step takes the level with the most edges to
+// assigned positions, so a whole window is scanned only for a true
+// Cartesian step (a disconnected red set, as an MVC cover can give), not
+// for a sibling whose neighbour comes later. Window
+// membership, the total order and the internal-dedup check do not depend on
+// the order, so it enumerates the same assignments, each once. A complete
+// position assignment expands into
 // one embedding per full-order query sequence of the v-group
 // (expandSequences), after which matchNonRed assigns black vertices by
 // scanning one red adjacency list and ivory vertices by intersecting

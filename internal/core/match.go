@@ -271,8 +271,7 @@ func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWind
 // descend then runs the compressed-domain kernel against it, and a decoded
 // view is materialized only if some deeper level asks for it (adjOfData).
 func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, comp graph.CompressedAdj) {
-	last := r.k - 1
-	pos := r.p.MatchingOrder[last]
+	pos := r.p.MatchingOrder[r.k-1]
 	for g := range r.p.Groups {
 		if !graph.ContainsSorted(m.lw.verts[g], v) {
 			continue
@@ -281,27 +280,32 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 		m.lastV, m.lastAdj, m.lastComp = v, adj, comp
 		m.pos2v[pos] = v
 		m.posMask = 1 << uint(pos)
-		r.extDescend(m, last-1)
+		r.extDescend(m, 0)
 	}
 }
 
-// extDescend assigns the node at the given level (descending to 0) and
-// recurses; at level < 0 the red match is complete (Algorithm 2's
-// EXTVERTEXMAPPING). On the adaptive path the candidates for pos are
-// materialized once per parent assignment as the k-way intersection of the
-// node's window with every connected position's adjacency list; the seed
-// path probes the shortest list candidate-by-candidate.
-func (r *run) extDescend(m *matcher, level int) {
-	if level < 0 {
+// extDescend assigns the level at the given step of the group's ExtOrder
+// and recurses; once every step is taken the red match is complete
+// (Algorithm 2's EXTVERTEXMAPPING). ExtOrder reaches a level adjacent to an
+// assigned one whenever such a level remains, so the window scan below
+// runs only for a true Cartesian step. On the adaptive path the candidates
+// for pos are materialized once per parent assignment as the k-way
+// intersection of the node's window with every connected position's
+// adjacency list; the seed path probes the shortest list
+// candidate-by-candidate. Arena depths are keyed by level, which is unique
+// along a path.
+func (r *run) extDescend(m *matcher, step int) {
+	vg := r.p.Groups[m.g]
+	if step == len(vg.ExtOrder) {
 		if m.allInternal() {
 			return // counted by the internal enumeration of this window
 		}
 		r.expandSequences(m, false)
 		return
 	}
+	level := vg.ExtOrder[step]
 	pos := r.p.MatchingOrder[level]
 	window := r.winData[level].verts[m.g]
-	vg := r.p.Groups[m.g]
 
 	if m.arena != nil {
 		// U_CON lists plus the window itself form one k-way intersection.
@@ -331,7 +335,7 @@ func (r *run) extDescend(m *matcher, level int) {
 					continue
 				}
 				m.assign(pos, v)
-				r.extDescend(m, level-1)
+				r.extDescend(m, step+1)
 				m.unassign(pos)
 			}
 			return
@@ -343,7 +347,7 @@ func (r *run) extDescend(m *matcher, level int) {
 					continue
 				}
 				m.assign(pos, v)
-				r.extDescend(m, level-1)
+				r.extDescend(m, step+1)
 				m.unassign(pos)
 			}
 			return
@@ -353,7 +357,7 @@ func (r *run) extDescend(m *matcher, level int) {
 				continue
 			}
 			m.assign(pos, v)
-			r.extDescend(m, level-1)
+			r.extDescend(m, step+1)
 			m.unassign(pos)
 		}
 		return
@@ -368,7 +372,7 @@ func (r *run) extDescend(m *matcher, level int) {
 				continue
 			}
 			m.assign(pos, v)
-			r.extDescend(m, level-1)
+			r.extDescend(m, step+1)
 			m.unassign(pos)
 		}
 		return
@@ -384,7 +388,7 @@ func (r *run) extDescend(m *matcher, level int) {
 			continue
 		}
 		m.assign(pos, v)
-		r.extDescend(m, level-1)
+		r.extDescend(m, step+1)
 		m.unassign(pos)
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
+	"dualsim/internal/rbi"
 )
 
 // skewedGraph plants hubs into a sparse background so adjacency-list
@@ -75,6 +77,18 @@ func TestAdaptiveMatchesSeedCounts(t *testing.T) {
 				{Threads: 3, PrefetchFrames: 16},
 				{Threads: 3, PrefetchFrames: 16, BufferFrames: 96},
 				{Threads: 3, PrefetchFrames: 8, BufferFrames: 128, StaticPartition: true},
+				// External-order dimension, on both kernel paths (and, on the
+				// compressed database, beside the compressed operand). 12
+				// frames split the 16-29 page databases into dozens of
+				// windows, so most matches are external; 96 would hold
+				// either whole. The worst matching order reorders every
+				// forest; an MVC red set is disconnected for q2 and q5, so
+				// the descent reaches levels with no assigned neighbour and
+				// falls back to whole-window scans.
+				{Threads: 3, WorstOrder: true, BufferFrames: 12},
+				{Threads: 3, WorstOrder: true, BufferFrames: 12, LinearOnlyIntersect: true},
+				{Threads: 3, CoverMode: rbi.MVC, BufferFrames: 12},
+				{Threads: 3, CoverMode: rbi.MVC, BufferFrames: 12, LinearOnlyIntersect: true},
 			} {
 				e, err := NewEngine(db.db, opt)
 				if err != nil {
@@ -135,6 +149,41 @@ func TestCompressedKernelCountersExported(t *testing.T) {
 	}
 	if c["dualsim_compressed_records_total"] == 0 {
 		t.Errorf("eager decode stopped counting compressed records loaded: %v", c)
+	}
+}
+
+// TestExtDescendKWayGuard pins the connectivity-first external descent
+// (plan.VGroup.ExtOrder) on the square, whose forest hangs two leaves off
+// level 0. With a 10-frame buffer over 53 pages the run iterates three
+// window levels (1465 windows). Descending in reverse matching order, the
+// first leaf had no assigned neighbour and was drawn from a whole-window
+// scan, so the second leaf paid a three-way intersection per scanned
+// candidate: 596,649 k-way intersections on this fixture. Reaching level 0
+// first through the last level's adjacency list leaves each leaf a pairwise
+// intersection. The guard allows a fifth of the old figure.
+func TestExtDescendKWayGuard(t *testing.T) {
+	const reverseOrderKWay = 596649
+	g := gen.ErdosRenyi(1000, 5000, 7)
+	db := buildDB(t, g, 1024)
+	e, err := NewEngine(db, Options{Threads: 1, BufferFrames: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(graph.Square())
+	e.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := graph.CountOccurrences(g, graph.Square()); res.Count != want {
+		t.Fatalf("square: engine %d, brute force %d", res.Count, want)
+	}
+	c := res.Metrics.Counters
+	if w := c["dualsim_windows_total"]; w < 1000 {
+		t.Fatalf("fixture iterated %d windows; the guard needs many deep windows", w)
+	}
+	if kway := c["dualsim_intersect_kway_total"]; kway > reverseOrderKWay/5 {
+		t.Errorf("external descent ran %d k-way intersections, want <= %d (reverse order: %d)",
+			kway, reverseOrderKWay/5, reverseOrderKWay)
 	}
 }
 

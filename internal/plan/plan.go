@@ -27,6 +27,11 @@ type VGroup struct {
 	// Forest is the traversal structure for this group under the plan's
 	// global matching order.
 	Forest *Forest
+	// ExtOrder is the external descent order: a permutation of levels
+	// 0..K-2 matched, in this order, after the last level's vertex (see
+	// extOrder). Each step takes a level adjacent to an already-assigned
+	// one whenever any unassigned level has such an edge.
+	ExtOrder []int
 }
 
 // HasTopologyEdge reports whether the group's topology requires positions p
@@ -105,6 +110,7 @@ func Prepare(q *graph.Query, opts Options) (*Plan, error) {
 	}
 	for _, vg := range p.Groups {
 		vg.Forest = buildForest(vg, p.MatchingOrder, p.K)
+		vg.ExtOrder = extOrder(vg, p.MatchingOrder, p.K)
 	}
 	p.PrepTime = time.Since(start)
 	return p, nil
@@ -226,6 +232,40 @@ func buildForest(vg *VGroup, mo []int, k int) *Forest {
 	return f
 }
 
+// extOrder picks the order in which external enumeration assigns levels
+// 0..K-2 once the last level's vertex is fixed. The paper walks them in
+// reverse matching order, but a level with no assigned neighbour then has
+// to scan its whole window (a Cartesian step) even when a later choice
+// would have connected it. Greedily, each step takes the unassigned level
+// with the most topology edges to assigned positions, ties going to the
+// higher level so an already-connected reverse order is kept. Any order
+// enumerates the same assignments; only the intersection work differs.
+func extOrder(vg *VGroup, mo []int, k int) []int {
+	order := make([]int, 0, k-1)
+	assigned := make([]bool, k)
+	assigned[k-1] = true
+	for len(order) < k-1 {
+		best, bestEdges := -1, -1
+		for l := k - 2; l >= 0; l-- {
+			if assigned[l] {
+				continue
+			}
+			edges := 0
+			for a := 0; a < k; a++ {
+				if assigned[a] && vg.HasTopologyEdge(k, mo[a], mo[l]) {
+					edges++
+				}
+			}
+			if edges > bestEdges {
+				best, bestEdges = l, edges
+			}
+		}
+		assigned[best] = true
+		order = append(order, best)
+	}
+	return order
+}
+
 // chooseMatchingOrder evaluates every permutation of positions and returns
 // the one minimizing total Cartesian products (roots beyond the level-0
 // root, summed over groups). K is tiny, so exhaustive search is negligible
@@ -280,8 +320,13 @@ func (p *Plan) NumFullOrderSequences() int {
 	return n
 }
 
-// String summarizes the plan for logging.
+// String summarizes the plan for logging, including each v-group's
+// external descent order.
 func (p *Plan) String() string {
-	return fmt.Sprintf("plan{%s: red=%v, %d sequences in %d v-groups, mo=%v, cartesians=%d}",
-		p.Query.Name(), p.RBI.Red, p.NumFullOrderSequences(), len(p.Groups), p.MatchingOrder, p.Cartesians)
+	ext := make([][]int, len(p.Groups))
+	for i, vg := range p.Groups {
+		ext[i] = vg.ExtOrder
+	}
+	return fmt.Sprintf("plan{%s: red=%v, %d sequences in %d v-groups, mo=%v, cartesians=%d, ext=%v}",
+		p.Query.Name(), p.RBI.Red, p.NumFullOrderSequences(), len(p.Groups), p.MatchingOrder, p.Cartesians, ext)
 }

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"dualsim/internal/graph"
@@ -223,5 +225,83 @@ func TestSingleRedVertex(t *testing.T) {
 	f := p.Groups[0].Forest
 	if f.Roots != 1 || f.Parent[0] != -1 {
 		t.Fatalf("star forest: %+v", f)
+	}
+}
+
+// checkExtOrder verifies that vg.ExtOrder is a permutation of levels
+// 0..K-2 and that no step takes a level with no assigned neighbour while
+// another unassigned level has one (a window scan that was avoidable).
+func checkExtOrder(p *Plan, vg *VGroup) error {
+	k := p.K
+	if len(vg.ExtOrder) != k-1 {
+		return fmt.Errorf("ExtOrder %v: length %d, want %d", vg.ExtOrder, len(vg.ExtOrder), k-1)
+	}
+	assigned := make([]bool, k)
+	assigned[k-1] = true
+	connected := func(l int) bool {
+		for a := 0; a < k; a++ {
+			if assigned[a] && vg.HasTopologyEdge(k, p.MatchingOrder[a], p.MatchingOrder[l]) {
+				return true
+			}
+		}
+		return false
+	}
+	for step, l := range vg.ExtOrder {
+		if l < 0 || l > k-2 || assigned[l] {
+			return fmt.Errorf("ExtOrder %v: step %d repeats or leaves 0..%d", vg.ExtOrder, step, k-2)
+		}
+		if !connected(l) {
+			for o := 0; o < k-1; o++ {
+				if !assigned[o] && connected(o) {
+					return fmt.Errorf("ExtOrder %v: step %d scans level %d while level %d is connected",
+						vg.ExtOrder, step, l, o)
+				}
+			}
+		}
+		assigned[l] = true
+	}
+	return nil
+}
+
+// TestExtOrder pins the external descent order of the paper queries: the
+// square and the house's first group start from the level the last level
+// hangs off instead of its unconnected sibling; already-connected reverse
+// orders stay as they are.
+func TestExtOrder(t *testing.T) {
+	cases := []struct {
+		q    *graph.Query
+		want [][]int // per group
+	}{
+		{graph.Triangle(), [][]int{{0}}},
+		{graph.Square(), [][]int{{0, 1}}},
+		{graph.ChordalSquare(), [][]int{{0}}},
+		{graph.Clique4(), [][]int{{1, 0}}},
+		{graph.House(), [][]int{{0, 1}, {1, 0}}},
+	}
+	for _, c := range cases {
+		p := prep(t, c.q)
+		var got [][]int
+		for gi, vg := range p.Groups {
+			got = append(got, vg.ExtOrder)
+			if err := checkExtOrder(p, vg); err != nil {
+				t.Errorf("%s group %d: %v", c.q.Name(), gi, err)
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: ExtOrder = %v, want %v", c.q.Name(), got, c.want)
+		}
+	}
+	for _, q := range []*graph.Query{graph.Path("p4", 4), graph.Cycle("c5", 5), graph.Clique("k5", 5), graph.House()} {
+		for _, worst := range []bool{false, true} {
+			p, err := Prepare(q, Options{WorstOrder: worst})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gi, vg := range p.Groups {
+				if err := checkExtOrder(p, vg); err != nil {
+					t.Errorf("%s (worst=%v) group %d: %v", q.Name(), worst, gi, err)
+				}
+			}
+		}
 	}
 }

@@ -31,12 +31,14 @@ func randomConnectedQuery(seed int64, n int) *graph.Query {
 //     state directly, so we check the structural invariants instead:
 //   - every group's sequences share the group topology;
 //   - sequences across groups are disjoint permutations;
-//   - forests cover every level exactly once with valid parents.
+//   - forests cover every level exactly once with valid parents;
+//   - every group's ExtOrder is a connectivity-first permutation of the
+//     levels below the last (checkExtOrder), under either matching order.
 func TestPrepareQuickInvariants(t *testing.T) {
-	f := func(seed int64, n8 uint8) bool {
+	f := func(seed int64, n8 uint8, worst bool) bool {
 		n := 3 + int(n8%4) // 3..6 query vertices
 		q := randomConnectedQuery(seed, n)
-		p, err := Prepare(q, Options{})
+		p, err := Prepare(q, Options{WorstOrder: worst})
 		if err != nil {
 			return false
 		}
@@ -77,6 +79,10 @@ func TestPrepareQuickInvariants(t *testing.T) {
 				if f.Parent[l] >= 0 && !vg.HasTopologyEdge(p.K, p.MatchingOrder[f.Parent[l]], p.MatchingOrder[l]) {
 					return false
 				}
+			}
+			if err := checkExtOrder(p, vg); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		// Matching order is a permutation.

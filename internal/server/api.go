@@ -755,17 +755,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	engines := len(s.engines)
 	// The engines share one registry, so enumeration counters (io_wait,
 	// prefetch_*) are fleet-wide on any member — read one, never sum. Pool
-	// counters are per engine and are summed.
+	// counters are per engine and are summed, retired engines included.
 	var enum core.EnumStats
 	if engines > 0 {
 		enum = s.engines[0].EnumStats()
 	}
-	var coRuns, coPages uint64
-	for _, e := range s.engines {
-		st := e.PoolStats()
-		coRuns += st.CoalescedRuns
-		coPages += st.CoalescedPages
-	}
+	pool := s.poolTotalsLocked()
 	s.mu.Unlock()
 	brState, brTrips := s.br.snapshot()
 	buildVersion, buildCommit := buildinfo.Info()
@@ -810,8 +805,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		PrefetchIssued: enum.PrefetchIssued,
 		PrefetchUseful: enum.PrefetchUseful,
 		PrefetchWasted: enum.PrefetchWasted,
-		CoalescedRuns:  coRuns,
-		CoalescedPages: coPages,
+		CoalescedRuns:  pool.CoalescedRuns,
+		CoalescedPages: pool.CoalescedPages,
 
 		CompressedRecords: enum.CompressedRecords,
 		CompressedBytes:   enum.CompressedBytes,

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"dualsim/internal/buffer"
 	"dualsim/internal/core"
 	"dualsim/internal/delta"
 	"dualsim/internal/graph"
@@ -301,6 +302,7 @@ func (s *Server) compactOnce() (bool, error) {
 		s.mu.Lock()
 		for i, old := range s.engines {
 			if old == e {
+				s.retireLocked(e)
 				s.engines[i] = ne
 				break
 			}
@@ -329,10 +331,8 @@ func (s *Server) compactOnce() (bool, error) {
 // fallback) rather than erroring.
 func (s *Server) rebuildCohort(db core.Database) error {
 	opts := s.cfg.Engine
-	opts.Metrics = s.reg
-	opts.OnMatch = nil
 	opts.Threads = s.cfg.Engine.Threads * s.cfg.Engines
-	ce, err := core.NewEngine(db, opts)
+	ce, err := s.newCoreEngine(db, opts)
 	if err != nil {
 		return fmt.Errorf("server: rebuilding cohort engine over compacted db: %w", err)
 	}
@@ -344,8 +344,11 @@ func (s *Server) rebuildCohort(db core.Database) error {
 	s.mu.Lock()
 	oldSched, oldCE := s.sched, s.cohortEng
 	s.sched, s.cohortEng = newSched, ce
+	var atSwap buffer.Stats
 	for i, e := range s.engines {
 		if e == oldCE {
+			atSwap = e.PoolStats()
+			s.retireLocked(e)
 			s.engines[i] = ce
 			break
 		}
@@ -355,6 +358,11 @@ func (s *Server) rebuildCohort(db core.Database) error {
 		oldSched.Close()
 	}
 	if oldCE != nil {
+		// Riders still attached at the swap kept reading through the old
+		// engine until Close drained them: fold that tail in too.
+		s.mu.Lock()
+		s.retired = addStats(s.retired, oldCE.PoolStats().Sub(atSwap))
+		s.mu.Unlock()
 		oldCE.Close()
 	}
 	return nil

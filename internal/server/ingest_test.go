@@ -371,6 +371,67 @@ func TestCompactionFoldsOverlayLive(t *testing.T) {
 	}
 }
 
+// TestPoolCountersMonotonicAcrossCompaction: compaction replaces every
+// pool engine (and, with shared scans, the cohort engine), and the
+// aggregate buffer-pool counters on /metrics must carry the retired
+// engines' totals rather than drop back to the fresh engines' zeros.
+func TestPoolCountersMonotonicAcrossCompaction(t *testing.T) {
+	families := []string{
+		"dualsim_pages_read_total",
+		"dualsim_logical_reads_total",
+		"dualsim_buffer_hits_total",
+		"dualsim_buffer_evictions_total",
+		"dualsim_buffer_pin_wait_nanos_total",
+		"dualsim_coalesced_runs_total",
+		"dualsim_coalesced_pages_total",
+	}
+	for _, shareScan := range []bool{false, true} {
+		cfg := mutableCfg()
+		cfg.ShareScan = shareScan
+		cfg.Engine.BufferFrames = 8 // smaller than the db: windows evict
+		s := newTestServer(t, buildCompleteDB(t, 30, 256), cfg)
+		scrape := func() map[string]float64 {
+			m := make(map[string]float64, len(families))
+			for _, f := range families {
+				m[f] = metricValue(t, s.Addr(), f)
+			}
+			return m
+		}
+		for _, q := range []string{"q1", "q4", "q1"} {
+			countQuery(t, s.Addr(), q)
+		}
+		before := scrape()
+		if before["dualsim_logical_reads_total"] == 0 || before["dualsim_pages_read_total"] == 0 {
+			t.Fatalf("shareScan=%v: queries recorded no pool activity: %v", shareScan, before)
+		}
+		mustIngest(t, s.Addr(), []EdgeOp{{Op: "delete", U: 0, V: 1}})
+		resp, err := http.Post("http://"+s.Addr()+"/admin/compact", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cr CompactResponse
+		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if !cr.Compacted {
+			t.Fatalf("shareScan=%v: compaction did not run: %+v", shareScan, cr)
+		}
+		afterCompact := scrape()
+		countQuery(t, s.Addr(), "q1")
+		afterQuery := scrape()
+		for _, f := range families {
+			if afterCompact[f] < before[f] || afterQuery[f] < afterCompact[f] {
+				t.Errorf("shareScan=%v: %s went backwards: %v before compaction, %v after, %v after a query",
+					shareScan, f, before[f], afterCompact[f], afterQuery[f])
+			}
+		}
+		if afterQuery["dualsim_logical_reads_total"] <= afterCompact["dualsim_logical_reads_total"] {
+			t.Errorf("shareScan=%v: post-compaction query added no logical reads", shareScan)
+		}
+	}
+}
+
 // TestChaosIngestSoak (make soak / CI soak job): concurrent mutators,
 // queries, and compactions race for SOAK_SECONDS under -race, with each
 // mutator owning a disjoint edge set so the settled graph is

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dualsim/internal/buffer"
 	"dualsim/internal/buildinfo"
 	"dualsim/internal/core"
 	"dualsim/internal/delta"
@@ -210,8 +211,12 @@ type Server struct {
 	tokens *tokenCodec
 	br     *breaker
 
-	mu      sync.Mutex     // guards engines (recycling swaps entries)
+	mu      sync.Mutex     // guards engines (recycling swaps entries) and retired
 	engines []*core.Engine // all pool members, for metric aggregation
+	// retired carries the final pool counters of engines that have left
+	// engines (compaction, cohort rebuild, leak recycling, close), so the
+	// aggregate pool counters never go backwards when a member is replaced.
+	retired buffer.Stats
 	slots   chan *core.Engine
 	waiters atomic.Int64
 
@@ -306,10 +311,8 @@ func New(db core.Database, cfg Config) (*Server, error) {
 		// global budget and the full thread allowance, so a cohort has the
 		// same resources N solo engines would have had combined.
 		opts := cfg.Engine
-		opts.Metrics = reg
-		opts.OnMatch = nil
 		opts.Threads = cfg.Engine.Threads * cfg.Engines
-		ce, err := core.NewEngine(db, opts)
+		ce, err := s.newCoreEngine(db, opts)
 		if err != nil {
 			baseCancel()
 			s.closeEngines()
@@ -335,7 +338,6 @@ func New(db core.Database, cfg Config) (*Server, error) {
 	}
 	s.cache.Register(reg)
 	s.sm = registerServerMetrics(reg, s)
-	s.registerAggregatePoolMetrics()
 	buildinfo.Register(reg)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /query", s.handleQuery)
@@ -353,14 +355,27 @@ func New(db core.Database, cfg Config) (*Server, error) {
 // over the CURRENT database (compaction swaps s.db under mu).
 func (s *Server) newEngine() (*core.Engine, error) {
 	opts := s.cfg.Engine
-	opts.Metrics = s.reg
-	opts.OnMatch = nil
 	if opts.BufferFrames > 0 {
 		opts.BufferFrames /= s.cfg.Engines
 	} else if opts.BufferFraction > 0 {
 		opts.BufferFraction /= float64(s.cfg.Engines)
 	}
-	return core.NewEngine(s.database(), opts)
+	return s.newCoreEngine(s.database(), opts)
+}
+
+// newCoreEngine builds an engine over db on the service registry.
+// core.NewEngine points the buffer-pool metric families at the new
+// engine's own pool, so the fleet-wide sums are registered again right
+// after; a scrape landing between the two sees that one pool alone.
+func (s *Server) newCoreEngine(db core.Database, opts core.Options) (*core.Engine, error) {
+	opts.Metrics = s.reg
+	opts.OnMatch = nil
+	e, err := core.NewEngine(db, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.registerAggregatePoolMetrics()
+	return e, nil
 }
 
 // database returns the current base database. Stable for the life of the
@@ -381,49 +396,70 @@ func (s *Server) scheduler() *sharedscan.Scheduler {
 }
 
 // registerAggregatePoolMetrics re-registers the buffer-pool metric families
-// to sum over every pool member. Each engine's registration points the
-// func-backed families at its own pool (last writer wins); with several
-// engines sharing one registry the service needs the fleet-wide view.
+// to sum over every pool member, past and present. Each engine's
+// registration points the func-backed families at its own pool (last
+// writer wins); with several engines sharing one registry the service
+// needs the fleet-wide view.
 func (s *Server) registerAggregatePoolMetrics() {
-	sum := func(f func(e *core.Engine) uint64) func() uint64 {
-		return func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			var t uint64
-			for _, e := range s.engines {
-				t += f(e)
-			}
-			return t
-		}
+	sum := func(f func(st buffer.Stats) uint64) func() uint64 {
+		return func() uint64 { return f(s.poolTotals()) }
 	}
 	s.reg.CounterFunc("dualsim_pages_read_total", "pages physically read from the device (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().PhysicalReads }))
+		sum(func(st buffer.Stats) uint64 { return st.PhysicalReads }))
 	s.reg.CounterFunc("dualsim_logical_reads_total", "buffer pin requests, hit or miss (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().LogicalReads }))
+		sum(func(st buffer.Stats) uint64 { return st.LogicalReads }))
 	s.reg.CounterFunc("dualsim_buffer_hits_total", "pin requests satisfied without I/O (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().Hits }))
+		sum(func(st buffer.Stats) uint64 { return st.Hits }))
 	s.reg.CounterFunc("dualsim_buffer_evictions_total", "buffer frames recycled (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().Evictions }))
+		sum(func(st buffer.Stats) uint64 { return st.Evictions }))
 	s.reg.CounterFunc("dualsim_buffer_pin_wait_nanos_total", "time pinners blocked on in-flight loads (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().PinWaitNanos }))
+		sum(func(st buffer.Stats) uint64 { return st.PinWaitNanos }))
 	s.reg.CounterFunc("dualsim_coalesced_runs_total", "multi-page stretches served with one simulated seek (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().CoalescedRuns }))
+		sum(func(st buffer.Stats) uint64 { return st.CoalescedRuns }))
 	s.reg.CounterFunc("dualsim_coalesced_pages_total", "pages covered by coalesced run reads (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().CoalescedPages }))
+		sum(func(st buffer.Stats) uint64 { return st.CoalescedPages }))
 	s.reg.GaugeFunc("dualsim_buffer_hit_ratio", "buffer hits / logical reads (all engines)", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		var hits, logical uint64
-		for _, e := range s.engines {
-			st := e.PoolStats()
-			hits += st.Hits
-			logical += st.LogicalReads
-		}
-		if logical == 0 {
+		st := s.poolTotals()
+		if st.LogicalReads == 0 {
 			return 0
 		}
-		return float64(hits) / float64(logical)
+		return float64(st.Hits) / float64(st.LogicalReads)
 	})
+}
+
+// poolTotals is the pool counters summed over the retired engines and
+// every current member.
+func (s *Server) poolTotals() buffer.Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.poolTotalsLocked()
+}
+
+func (s *Server) poolTotalsLocked() buffer.Stats {
+	t := s.retired
+	for _, e := range s.engines {
+		t = addStats(t, e.PoolStats())
+	}
+	return t
+}
+
+// retireLocked folds e's pool counters into the retired base as e leaves
+// engines. Caller holds s.mu.
+func (s *Server) retireLocked(e *core.Engine) {
+	s.retired = addStats(s.retired, e.PoolStats())
+}
+
+// addStats returns the field-wise sum a + b.
+func addStats(a, b buffer.Stats) buffer.Stats {
+	return buffer.Stats{
+		LogicalReads:   a.LogicalReads + b.LogicalReads,
+		PhysicalReads:  a.PhysicalReads + b.PhysicalReads,
+		Hits:           a.Hits + b.Hits,
+		Evictions:      a.Evictions + b.Evictions,
+		PinWaitNanos:   a.PinWaitNanos + b.PinWaitNanos,
+		CoalescedRuns:  a.CoalescedRuns + b.CoalescedRuns,
+		CoalescedPages: a.CoalescedPages + b.CoalescedPages,
+	}
 }
 
 // Handler returns the service's mux: POST /query, GET /stats, /metrics,
@@ -524,6 +560,7 @@ func (s *Server) closeEngines() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.engines {
+		s.retireLocked(e)
 		e.Close()
 	}
 	s.engines = nil
@@ -610,6 +647,7 @@ func (s *Server) release(e *core.Engine) {
 		s.mu.Lock()
 		for i, old := range s.engines {
 			if old == e {
+				s.retireLocked(e)
 				if err == nil {
 					s.engines[i] = ne
 				} else {
