@@ -41,7 +41,7 @@
 // loaded page, and the remaining levels are matched in the v-group's
 // plan.VGroup.ExtOrder, each candidate drawn from the intersection of the
 // node's current window with the adjacency lists of assigned neighbours
-// and checked against the total order. ExtOrder departs from the paper's
+// and bounded by the total order. ExtOrder departs from the paper's
 // reverse matching order: each step takes the level with the most edges to
 // assigned positions, so a whole window is scanned only for a true
 // Cartesian step (a disconnected red set, as an MVC cover can give), not
@@ -53,6 +53,19 @@
 // (expandSequences), after which matchNonRed assigns black vertices by
 // scanning one red adjacency list and ivory vertices by intersecting
 // several — no I/O, since every needed list is pinned.
+//
+// Order pruning happens in the intersection operands, not per candidate,
+// on the adaptive path. Before each kernel call the matcher computes the
+// ID interval the orders leave open: matcher.orderRange for a red position
+// (Lemma 1's total order against the assigned positions) and
+// matcher.poRange for a non-red vertex (the symmetry-breaking PO against
+// the mapped vertices). It clips every operand to that interval with
+// sliceRange and skips the kernel when the interval is empty, so each
+// candidate it yields satisfies the orders by construction; only
+// injectivity (nonRedOK) is still checked per non-red candidate. The seed
+// path (Options.LinearOnlyIntersect) stays unclipped and checks orderOK,
+// nonRedOK and poOK per candidate, as the reference the equivalence tests
+// compare against (TestClippedEmbeddingsMatchSeed).
 //
 // Deduplication between internal and external enumeration follows the
 // paper: level-1 candidate sequences cover all vertices, so the level-1

@@ -418,6 +418,18 @@ func TestSliceRange(t *testing.T) {
 	if got := sliceRange(list, 0, 1); len(got) != 0 {
 		t.Fatalf("below-range slice = %v", got)
 	}
+	if got := sliceRange(list, 0, maxVertexID); len(got) != len(list) {
+		t.Fatalf("full-range slice = %v", got)
+	}
+	if got := sliceRange(list, 5, maxVertexID); len(got) != 3 || got[0] != 6 {
+		t.Fatalf("open-above slice = %v", got)
+	}
+	if got := sliceRange(list, 7, 5); len(got) != 0 {
+		t.Fatalf("empty-interval slice = %v", got)
+	}
+	if got := sliceRange(list, 4, 4); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("single-value slice = %v", got)
+	}
 }
 
 func TestUnionSorted(t *testing.T) {

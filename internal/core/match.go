@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 
 	"dualsim/internal/graph"
@@ -175,8 +177,37 @@ func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 	return nil
 }
 
+// maxVertexID is the largest representable vertex ID.
+const maxVertexID = graph.VertexID(math.MaxUint32)
+
+// orderRange returns the closed interval [lo, hi] of vertex IDs that the
+// total order of Lemma 1 leaves to position pos: above every assigned
+// earlier position and below every assigned later one. lo > hi means no ID
+// qualifies, including when a bound sits at the edge of the ID space. The
+// adaptive path clips its intersection operands to this interval, so every
+// candidate it yields passes orderOK by construction.
+func (m *matcher) orderRange(pos int) (lo, hi graph.VertexID) {
+	lo, hi = 0, maxVertexID
+	for p := 0; p < m.r.k; p++ {
+		if m.posMask&(1<<uint(p)) == 0 || p == pos {
+			continue
+		}
+		v := m.pos2v[p]
+		switch {
+		case p < pos && v == maxVertexID, p > pos && v == 0:
+			return 1, 0 // nothing lies strictly beyond the bound
+		case p < pos:
+			lo = max(lo, v+1)
+		default:
+			hi = min(hi, v-1)
+		}
+	}
+	return lo, hi
+}
+
 // orderOK checks the total-order constraints between a candidate v for
-// position pos and every already-assigned position.
+// position pos and every already-assigned position. Seed path only: the
+// adaptive path clips to orderRange instead.
 func (m *matcher) orderOK(pos int, v graph.VertexID) bool {
 	for p := 0; p < m.r.k; p++ {
 		if m.posMask&(1<<uint(p)) == 0 || p == pos {
@@ -287,13 +318,13 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 // extDescend assigns the level at the given step of the group's ExtOrder
 // and recurses; once every step is taken the red match is complete
 // (Algorithm 2's EXTVERTEXMAPPING). ExtOrder reaches a level adjacent to an
-// assigned one whenever such a level remains, so the window scan below
-// runs only for a true Cartesian step. On the adaptive path the candidates
-// for pos are materialized once per parent assignment as the k-way
-// intersection of the node's window with every connected position's
-// adjacency list; the seed path probes the shortest list
-// candidate-by-candidate. Arena depths are keyed by level, which is unique
-// along a path.
+// assigned one whenever such a level remains, so the whole (order-clipped)
+// window becomes the candidate list only for a true Cartesian step. On the
+// adaptive path the candidates for pos are materialized once per parent
+// assignment as the k-way intersection of the node's window with every
+// connected position's adjacency list, all clipped to orderRange; the seed
+// path probes the shortest list candidate-by-candidate. Arena depths are
+// keyed by level, which is unique along a path.
 func (r *run) extDescend(m *matcher, step int) {
 	vg := r.p.Groups[m.g]
 	if step == len(vg.ExtOrder) {
@@ -308,13 +339,20 @@ func (r *run) extDescend(m *matcher, step int) {
 	window := r.winData[level].verts[m.g]
 
 	if m.arena != nil {
-		// U_CON lists plus the window itself form one k-way intersection.
+		// U_CON lists plus the window itself form one k-way intersection,
+		// every operand clipped to the interval the order leaves to pos.
 		// When the connected last-level record is still a compressed span
 		// (lazy parse), it becomes the kernel's compressed operand instead
 		// of a decoded list: the decoded sides fold first, and only their
 		// survivors are probed against the span via skip-pointer seeks.
+		// The clipped window is always among those sides, so the span
+		// needs no clipping of its own.
+		lo, hi := m.orderRange(pos)
+		if lo > hi {
+			return
+		}
 		lists := m.arena.Lists(level, r.k+1)
-		lists = append(lists, window)
+		lists = append(lists, sliceRange(window, lo, hi))
 		compOperand := false
 		for p := 0; p < r.k; p++ {
 			if m.posMask&(1<<uint(p)) == 0 {
@@ -327,35 +365,16 @@ func (r *run) extDescend(m *matcher, step int) {
 				compOperand = true
 				continue
 			}
-			lists = append(lists, m.adjOfPos(p))
+			lists = append(lists, sliceRange(m.adjOfPos(p), lo, hi))
 		}
+		var cands []graph.VertexID
 		if compOperand {
-			for _, v := range m.arena.IntersectKC(level, lists, m.lastComp) {
-				if !m.orderOK(pos, v) {
-					continue
-				}
-				m.assign(pos, v)
-				r.extDescend(m, step+1)
-				m.unassign(pos)
-			}
-			return
+			cands = m.arena.IntersectKC(level, lists, m.lastComp)
+		} else {
+			// With no assigned neighbor this is the clipped window itself.
+			cands = m.arena.IntersectK(level, lists)
 		}
-		if len(lists) == 1 {
-			// No assigned neighbor: scan the node's whole current window.
-			for _, v := range window {
-				if !m.orderOK(pos, v) {
-					continue
-				}
-				m.assign(pos, v)
-				r.extDescend(m, step+1)
-				m.unassign(pos)
-			}
-			return
-		}
-		for _, v := range m.arena.IntersectK(level, lists) {
-			if !m.orderOK(pos, v) {
-				continue
-			}
+		for _, v := range cands {
 			m.assign(pos, v)
 			r.extDescend(m, step+1)
 			m.unassign(pos)
@@ -489,8 +508,8 @@ func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) 
 // intDescend assigns levels 1..k-1 in ascending order, restricted to the
 // internal window. The adaptive path materializes the candidates for pos as
 // the intersection of the connected positions' adjacency lists, each first
-// clipped to the window's [lo, hi] ID range; the seed path probes the
-// shortest list candidate-by-candidate.
+// clipped to the window's [lo, hi] ID range narrowed by orderRange; the
+// seed path probes the shortest list candidate-by-candidate.
 func (r *run) intDescend(m *matcher, level int) {
 	if level == r.k {
 		r.expandSequences(m, true)
@@ -498,9 +517,13 @@ func (r *run) intDescend(m *matcher, level int) {
 	}
 	pos := r.p.MatchingOrder[level]
 	vg := r.p.Groups[m.g]
-	lo, hi := m.lw.lo, m.lw.hi
 
 	if m.arena != nil {
+		lo, hi := m.orderRange(pos)
+		lo, hi = max(lo, m.lw.lo), min(hi, m.lw.hi)
+		if lo > hi {
+			return
+		}
 		lists := m.arena.Lists(level, r.k)
 		for p := 0; p < r.k; p++ {
 			if m.posMask&(1<<uint(p)) == 0 {
@@ -509,25 +532,14 @@ func (r *run) intDescend(m *matcher, level int) {
 			if !vg.HasTopologyEdge(r.k, p, pos) {
 				continue
 			}
-			// Clip to the internal window: the intersection is a subset of
-			// every input, so clipping each list clips the result.
+			// The intersection is a subset of every input, so clipping each
+			// list clips the result.
 			lists = append(lists, sliceRange(m.adjOfPos(p), lo, hi))
 		}
 		if len(lists) == 0 {
-			for _, v := range m.lw.verts[m.g] {
-				if !m.orderOK(pos, v) {
-					continue
-				}
-				m.assign(pos, v)
-				r.intDescend(m, level+1)
-				m.unassign(pos)
-			}
-			return
+			lists = append(lists, sliceRange(m.lw.verts[m.g], lo, hi))
 		}
 		for _, v := range m.arena.IntersectK(level, lists) {
-			if !m.orderOK(pos, v) {
-				continue
-			}
 			m.assign(pos, v)
 			r.intDescend(m, level+1)
 			m.unassign(pos)
@@ -535,6 +547,7 @@ func (r *run) intDescend(m *matcher, level int) {
 		return
 	}
 
+	lo, hi := m.lw.lo, m.lw.hi
 	base, others := m.connectedLists(vg, pos)
 	if base == nil {
 		for _, v := range m.lw.verts[m.g] {
@@ -584,9 +597,10 @@ func (r *run) expandSequences(m *matcher, internal bool) {
 // black vertices scan their red neighbor's adjacency list, ivory vertices
 // intersect the lists of their red neighbors (§5.2). No I/O is performed —
 // every needed adjacency list is already in the buffer. The kernel shape is
-// fixed at plan time (rbi.KernelHint); on the adaptive path ivory
-// candidates are materialized by the smallest-first adaptive intersection,
-// while the seed path probes with per-candidate binary searches.
+// fixed at plan time (rbi.KernelHint); on the adaptive path every operand is
+// first clipped to poRange and ivory candidates are materialized by the
+// smallest-first adaptive intersection, while the seed path probes with
+// per-candidate binary searches and checks the partial orders per candidate.
 func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	if idx == len(r.p.RBI.NonRed) {
 		if internal {
@@ -603,21 +617,25 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	reds := r.p.RBI.RedNeighbors[u]
 
 	if m.arena != nil {
+		lo, hi := m.poRange(u)
+		if lo > hi {
+			return
+		}
 		var cands []graph.VertexID
 		if r.p.RBI.Hints[u] == rbi.HintScan {
 			// Black vertex: candidates are the one red neighbor's list.
-			cands = m.adjOfData(m.mapping[reds[0]])
+			cands = sliceRange(m.adjOfData(m.mapping[reds[0]]), lo, hi)
 		} else {
 			// Ivory vertex: pairwise or k-way adaptive intersection.
 			depth := r.k + idx
 			lists := m.arena.Lists(depth, len(reds))
 			for _, rq := range reds {
-				lists = append(lists, m.adjOfData(m.mapping[rq]))
+				lists = append(lists, sliceRange(m.adjOfData(m.mapping[rq]), lo, hi))
 			}
 			cands = m.arena.IntersectK(depth, lists)
 		}
 		for _, v := range cands {
-			if !m.nonRedOK(u, v) {
+			if !m.nonRedOK(v) {
 				continue
 			}
 			m.mapping[u] = v
@@ -645,7 +663,7 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 		if !containsAll(others, v) {
 			continue
 		}
-		if !m.nonRedOK(u, v) {
+		if !m.nonRedOK(v) || !m.poOK(u, v) {
 			continue
 		}
 		m.mapping[u] = v
@@ -655,18 +673,45 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	}
 }
 
-// nonRedOK checks injectivity and the partial orders for assigning data
-// vertex v to non-red query vertex u.
-func (m *matcher) nonRedOK(u int, v graph.VertexID) bool {
-	n := m.r.p.Query.NumVertices()
-	for qv := 0; qv < n; qv++ {
-		if m.qMask&(1<<uint(qv)) == 0 {
-			continue
-		}
-		if m.mapping[qv] == v {
+// nonRedOK checks injectivity for assigning data vertex v to a non-red
+// query vertex: no mapped query vertex may already hold v.
+func (m *matcher) nonRedOK(v graph.VertexID) bool {
+	for mask := m.qMask; mask != 0; mask &= mask - 1 {
+		if m.mapping[bits.TrailingZeros32(mask)] == v {
 			return false
 		}
 	}
+	return true
+}
+
+// poRange returns the closed interval [lo, hi] of vertex IDs that the
+// partial orders PO leave to non-red query vertex u against the mapped
+// query vertices; lo > hi means no ID qualifies. The adaptive path clips
+// its operands to it, so its candidates pass poOK by construction.
+func (m *matcher) poRange(u int) (lo, hi graph.VertexID) {
+	lo, hi = 0, maxVertexID
+	for _, c := range m.r.p.PO {
+		switch {
+		case c.Lo == u && m.qMask&(1<<uint(c.Hi)) != 0:
+			w := m.mapping[c.Hi]
+			if w == 0 {
+				return 1, 0
+			}
+			hi = min(hi, w-1)
+		case c.Hi == u && m.qMask&(1<<uint(c.Lo)) != 0:
+			w := m.mapping[c.Lo]
+			if w == maxVertexID {
+				return 1, 0
+			}
+			lo = max(lo, w+1)
+		}
+	}
+	return lo, hi
+}
+
+// poOK checks the partial orders for assigning data vertex v to non-red
+// query vertex u. Seed path only: the adaptive path clips to poRange.
+func (m *matcher) poOK(u int, v graph.VertexID) bool {
 	for _, c := range m.r.p.PO {
 		switch {
 		case c.Lo == u && m.qMask&(1<<uint(c.Hi)) != 0:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -382,7 +381,7 @@ func (it *windowIterator) peekNextPages(cur *levelWindow, max int) []storage.Pag
 			}
 		}
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	if len(pages) > max {
 		pages = pages[:max]
 	}
@@ -876,15 +875,17 @@ func (r *run) computeChildCandidates(l int) {
 			var out []graph.VertexID
 			for _, v := range lw.verts[g] {
 				adj := lw.adj[v]
+				i, found := slices.BinarySearch(adj, v)
 				if posChild > posParent {
-					i := sort.Search(len(adj), func(i int) bool { return adj[i] > v })
+					if found {
+						i++
+					}
 					out = append(out, adj[i:]...)
 				} else {
-					i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
 					out = append(out, adj[:i]...)
 				}
 			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+			slices.Sort(out)
 			out = dedupSorted(out)
 			r.em.candSize.Observe(int64(len(out)))
 			r.cand[g][childLevel] = candSeq{list: out}
@@ -942,11 +943,23 @@ func (r *run) dispatchInternal(lw *levelWindow) {
 	}
 }
 
-// sliceRange returns the subslice of sorted list with values in [lo, hi].
+// sliceRange returns the subslice of sorted duplicate-free list with values
+// in [lo, hi] (empty when lo > hi). A bound that cuts nothing costs no
+// search: the matchers call this once per intersection operand, and the
+// order bounds often leave one end, or both, of a list in range.
 func sliceRange(list []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= lo })
-	j := sort.Search(len(list), func(j int) bool { return list[j] > hi })
-	return list[i:j]
+	if len(list) > 0 && list[0] < lo {
+		i, _ := slices.BinarySearch(list, lo)
+		list = list[i:]
+	}
+	if len(list) > 0 && list[len(list)-1] > hi {
+		j, found := slices.BinarySearch(list, hi)
+		if found {
+			j++
+		}
+		list = list[:j]
+	}
+	return list
 }
 
 func dedupSorted(list []graph.VertexID) []graph.VertexID {
