@@ -411,17 +411,13 @@ func BenchmarkWindowEnum(b *testing.B) {
 		run(b, core.Options{Profile: true})
 	})
 
-	// I/O-bound variants: HDD-like simulated latency and a buffer far
-	// smaller than the database, so every run churns windows and the
-	// cross-window prefetch pipeline has device time to hide. The reported
-	// io_wait_ms/op metric is the orchestrator time blocked in loadWindow —
-	// the before/after number for the prefetch story in docs/EXPERIMENTS.md.
-	runIO := func(b *testing.B, prefetch int) {
-		b.Helper()
+	// I/O-bound variant: HDD-like simulated latency and a buffer far
+	// smaller than the database, so every run churns windows. The reported
+	// io_wait_ms/op metric is the orchestrator time blocked in loadWindow.
+	b.Run("io-nopfetch", func(b *testing.B) {
 		eng, err := core.NewEngine(db, core.Options{
 			Threads:        4,
 			BufferFrames:   176,
-			PrefetchFrames: prefetch,
 			PerPageLatency: 200 * time.Microsecond,
 			SeekLatency:    2 * time.Millisecond,
 		})
@@ -443,9 +439,7 @@ func BenchmarkWindowEnum(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(ioWait.Milliseconds())/float64(b.N), "io_wait_ms/op")
-	}
-	b.Run("io-nopfetch", func(b *testing.B) { runIO(b, 0) })
-	b.Run("io-prefetch", func(b *testing.B) { runIO(b, 16) })
+	})
 
 	// Survivability variant: the same I/O-bound configuration on a device
 	// injecting seeded transient-fault bursts (correlated failures, the
@@ -649,7 +643,7 @@ func BenchmarkBruteForceReference(b *testing.B) {
 }
 
 // BenchmarkAblationOverlap quantifies the CPU/I-O overlap: with simulated
-// device latency, four async I/O workers prefetching pages while
+// device latency, four async I/O workers reading pages while
 // enumeration proceeds should beat a single serialized reader.
 func BenchmarkAblationOverlap(b *testing.B) {
 	lat := core.Options{PerPageLatency: 30 * time.Microsecond, SeekLatency: 150 * time.Microsecond}

@@ -129,7 +129,7 @@ func render(rows []row, env []string) string {
 		"BenchmarkIntersectExtreme":    "Paper-scale skew (4 vs 2^20): the 1-vs-10⁶ case from the skew test matrix in internal/graph/intersect_test.go.",
 		"BenchmarkIntersectKWay":       "A 4-list ivory intersection (paper §5.2: ivory vertices intersect ≥2 red adjacency lists). Smallest-first ordering shrinks the running intersection before the big lists are touched.",
 		"BenchmarkIntersectCompressed": "The skewed shape with the hub list stored delta+varint compressed (docs/STORAGE.md): `decode-then-intersect` materializes the hub list before the plain adaptive kernel runs; `compressed-domain` gallops over the encoded bytes via the skip table (graph.IntersectCompressed) and touches only the blocks the probe list lands in. The allocs/op column is the point as much as time/op — the compressed-domain path is allocation-free.",
-		"BenchmarkWindowEnum":          "The tentpole acceptance benchmark: 4-clique enumeration on the planted-hub skewed fixture (gen.PlantedHubs). `seed` is the pre-adaptive engine (linear merges, static 4×-oversubscribed partitioning); `adaptive` is the default engine (adaptive kernels + bounded work-stealing); the two single-feature variants isolate each contribution; all four run whole-database-buffered. The `io-*` variants instead simulate an HDD (200 µs/page transfer, 2 ms seek) under a 176-frame buffer far smaller than the database, so every run churns windows: `io-nopfetch` exercises coalesced run reads alone, `io-prefetch` adds the cross-window prefetch pipeline (PrefetchFrames=16). The io_wait_ms/op metric is orchestrator time blocked on window loads. `io-faulted` is `io-nopfetch` on a device injecting seeded transient faults (0.5% of reads), absorbed by the read-retry and window-retry layers; window_retries/op counts whole-window recoveries per run. `adaptive-attributed` is the default engine with per-query cost attribution on (core.Options.Profile): every hot-path counter also lands in the run's obs.Scope, and the delta against `adaptive` is the attribution overhead. The `solo-4q`/`shared-4q` pair is the serving policy comparison behind `serve -share-scan`: 4 identical 4-clique queries against the same global budget (1.5× the database), either as 4 cold solo engines each holding a quarter of it, or as one cohort engine holding it undivided and sweeping the level-1 windows once for all riders; pages/query is physical reads per arrival. The `compressed`/`compressed-eager` pair runs the identical fixture from a delta+varint-compressed database (docs/STORAGE.md): `compressed` is the default engine, whose last-level windows keep encoded spans and whose kernels intersect them in place; `compressed-eager` ablates the compressed-domain kernels by decoding every record at window-load time (core.Options.EagerDecode), isolating the storage win from the compute win. The bytes/edge column is on-disk adjacency payload per stored edge (storage.FileStats.AdjBytes) and windows/run counts window iterations across all levels; both feed the derived lines below.",
+		"BenchmarkWindowEnum":          "The tentpole acceptance benchmark: 4-clique enumeration on the planted-hub skewed fixture (gen.PlantedHubs). `seed` is the pre-adaptive engine (linear merges, static 4×-oversubscribed partitioning); `adaptive` is the default engine (adaptive kernels + bounded work-stealing); the two single-feature variants isolate each contribution; all four run whole-database-buffered. The `io-*` variants instead simulate an HDD (200 µs/page transfer, 2 ms seek) under a 176-frame buffer far smaller than the database, so every run churns windows: `io-nopfetch` exercises coalesced run reads within each window. The io_wait_ms/op metric is orchestrator time blocked on window loads. `io-faulted` is `io-nopfetch` on a device injecting seeded transient faults (0.5% of reads), absorbed by the read-retry and window-retry layers; window_retries/op counts whole-window recoveries per run. `adaptive-attributed` is the default engine with per-query cost attribution on (core.Options.Profile): every hot-path counter also lands in the run's obs.Scope, and the delta against `adaptive` is the attribution overhead. The `solo-4q`/`shared-4q` pair is the serving policy comparison behind `serve -share-scan`: 4 identical 4-clique queries against the same global budget (1.5× the database), either as 4 cold solo engines each holding a quarter of it, or as one cohort engine holding it undivided and sweeping the level-1 windows once for all riders; pages/query is physical reads per arrival. The `compressed`/`compressed-eager` pair runs the identical fixture from a delta+varint-compressed database (docs/STORAGE.md): `compressed` is the default engine, whose last-level windows keep encoded spans and whose kernels intersect them in place; `compressed-eager` ablates the compressed-domain kernels by decoding every record at window-load time (core.Options.EagerDecode), isolating the storage win from the compute win. The bytes/edge column is on-disk adjacency payload per stored edge (storage.FileStats.AdjBytes) and windows/run counts window iterations across all levels; both feed the derived lines below.",
 	}
 
 	for _, top := range order {
@@ -171,26 +171,12 @@ func render(rows []row, env []string) string {
 						"one nil check per counter site and is bounded at ≤2%% by the acceptance criteria.\n\n",
 					(attributed/adaptive-1)*100, humanNs(adaptive), humanNs(attributed)))
 			}
-			var nopf, pf row
+			var nopf, faulted row
 			for _, r := range groups[top] {
 				switch {
 				case strings.HasSuffix(r.name, "/io-nopfetch"):
 					nopf = r
-				case strings.HasSuffix(r.name, "/io-prefetch"):
-					pf = r
-				}
-			}
-			if w1, ok1 := ioWaitMs(nopf); ok1 {
-				if w2, ok2 := ioWaitMs(pf); ok2 {
-					b.WriteString(fmt.Sprintf(
-						"**I/O-bound pipeline: prefetch lowers io_wait %.0f → %.0f ms/op** (time/op %s → %s). "+
-							"The ≥1.3× acceptance comparison against the pre-pipeline engine is recorded in docs/EXPERIMENTS.md.\n\n",
-						w1, w2, humanNs(nopf.nsPerOp), humanNs(pf.nsPerOp)))
-				}
-			}
-			var faulted row
-			for _, r := range groups[top] {
-				if strings.HasSuffix(r.name, "/io-faulted") {
+				case strings.HasSuffix(r.name, "/io-faulted"):
 					faulted = r
 				}
 			}
@@ -251,9 +237,6 @@ func render(rows []row, env []string) string {
 	}
 	return b.String()
 }
-
-// ioWaitMs extracts the io_wait_ms/op metric a row reported, if any.
-func ioWaitMs(r row) (float64, bool) { return rowMetric(r, "io_wait_ms/op") }
 
 // rowMetric extracts a named custom metric from a row's extra fields.
 func rowMetric(r row, name string) (float64, bool) {

@@ -129,7 +129,6 @@ var paperNotes = []struct{ pattern, note string }{
 	{"dualsim_compressed_skip_seeks_total", "skip-pointer block jumps: galloping over compressed lists without sequential decode"},
 	{"dualsim_steal_*", "work-stealing activity — parallel speedup headroom (Figure 16)"},
 	{"dualsim_worker_*", "parallel speedup headroom (Figure 16): a drained queue means workers starve"},
-	{"dualsim_prefetch_*", "cross-window prefetch pipeline: speculation issued/useful/wasted"},
 	{"dualsim_retry_*", "resilient read path recovery activity (§6b)"},
 	{"dualsim_checkpoints_taken_total", "checkpoint cadence of the failure-domain layers (§6b)"},
 	{"dualsim_window_retries_total", "whole-window recoveries absorbed without losing exactness (§6b)"},
@@ -140,7 +139,7 @@ var paperNotes = []struct{ pattern, note string }{
 	{"dualsim_compactions_total", "overlay folds into a fresh base file: mutability amortized back to §4's sequential layout"},
 	{"dualsim_compaction_errors_total", "failed folds (overlay retained, base file unchanged)"},
 	{"dualsim_overlay_merged_vertices_total", "window loads that merged live-ingest deltas into the adjacency before enumeration"},
-	{"dualsim_breaker_*", "pool health: 0 closed / 1 shed / 2 open / 3 half-open (§6b)"},
+	{"dualsim_breaker_*", "pool health: 0 closed / 2 open / 3 half-open (§6b)"},
 	{"dualsim_slow_queries_total", "per-query attribution: completed queries at/over the slow-log threshold"},
 	{"dualsim_build_info", "build identity (version/commit labels, constant 1)"},
 	{"dualsim_runs_total", "enumeration runs executed"},

@@ -65,7 +65,7 @@ type (
 	// CostProfile is the per-query attributed cost breakdown produced when
 	// Options.Profile is set (Result.Profile) or a server request asks for
 	// POST /query?profile=1: time split (queue/prep/exec/io-wait/pin-wait),
-	// pages read, window and prefetch behaviour, kernel mix, resilience.
+	// pages read, window behaviour, kernel mix, resilience.
 	CostProfile = obs.CostProfile
 )
 
@@ -268,15 +268,6 @@ type Options struct {
 	// BufferFraction sizes the buffer as a fraction of the database's
 	// pages (default 0.15, the paper's default).
 	BufferFraction float64
-	// PrefetchFrames, when positive, carves up to that many frames out of
-	// each level's buffer allocation for cross-window prefetch: while a
-	// window is enumerated, the next window's leading pages are read
-	// speculatively into the carved frames. The carve shrinks the window
-	// budget, never the foreground's frame guarantee, so prefetch cannot
-	// starve enumeration; levels too small for a carve worth a device
-	// request skip prefetch instead of shrinking their windows. Zero
-	// disables prefetching.
-	PrefetchFrames int
 	// UseMVC selects minimum vertex covers instead of minimum connected
 	// vertex covers for the red query graph.
 	UseMVC bool
@@ -354,7 +345,6 @@ func (o Options) coreOptions() core.Options {
 		Threads:               o.Threads,
 		BufferFrames:          o.BufferFrames,
 		BufferFraction:        o.BufferFraction,
-		PrefetchFrames:        o.PrefetchFrames,
 		CoverMode:             mode,
 		EqualAllocation:       o.EqualAllocation,
 		WorstOrder:            o.WorstOrder,

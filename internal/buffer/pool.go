@@ -39,11 +39,10 @@ type RunReader interface {
 // indicates a planning bug or a too-small buffer.
 var ErrNoFreeFrame = errors.New("buffer: all frames pinned")
 
-// DefaultMaxRun is the run-coalescing cap applied when Options.MaxRun is
+// defaultMaxRun is the run-coalescing cap applied when Options.MaxRun is
 // zero: the page count one I/O request serves with a single simulated
-// seek. Exported so budget policies elsewhere (the engine's prefetch
-// carve) can refuse configurations too small to coalesce.
-const DefaultMaxRun = 8
+// seek.
+const defaultMaxRun = 8
 
 // Options configures a Pool.
 type Options struct {
@@ -176,7 +175,7 @@ func NewPool(reader PageReader, opts Options) (*Pool, error) {
 		opts.IOWorkers = 4
 	}
 	if opts.MaxRun <= 0 {
-		opts.MaxRun = DefaultMaxRun
+		opts.MaxRun = defaultMaxRun
 	}
 	p := &Pool{
 		reader: reader,

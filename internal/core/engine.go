@@ -63,19 +63,6 @@ type Options struct {
 	StaticPartition bool
 	// IOWorkers is the number of asynchronous I/O goroutines (default 4).
 	IOWorkers int
-	// PrefetchFrames enables the cross-window prefetch pipeline: while a
-	// window is enumerated, up to this many frames per level speculatively
-	// hold leading pages of the level's *next* window, issued from the
-	// window iterator's lookahead and kept pinned until the window
-	// transition claims them. The budget is carved out of each level's
-	// frame allocation so prefetch can never starve the foreground path
-	// into ErrNoFreeFrame. The carve is clamped to an eighth of the
-	// level's allocation (and the one-maximal-vertex floor), and a level
-	// only participates when the clamped carve still reaches the pool's
-	// coalescing run size — smaller speculative reads pay a full seek for
-	// a handful of pages, so starved levels skip prefetch rather than
-	// shrink their windows into seek storms. Zero disables prefetching.
-	PrefetchFrames int
 	// PerPageLatency simulates per-page device transfer latency.
 	PerPageLatency time.Duration
 	// SeekLatency simulates device positioning latency, charged once per
@@ -328,16 +315,8 @@ func (e *Engine) PoolStats() buffer.Stats { return e.pool.Stats() }
 // whole fleet — read one, do not sum.
 type EnumStats struct {
 	// IOWaitNanos is orchestrator time blocked on window page loads — the
-	// I/O the overlap (and now the prefetch pipeline) failed to hide.
+	// I/O the overlap failed to hide.
 	IOWaitNanos uint64
-	// PrefetchIssued counts pages speculatively requested for upcoming
-	// windows.
-	PrefetchIssued uint64
-	// PrefetchUseful counts issued pages the next window actually needed.
-	PrefetchUseful uint64
-	// PrefetchWasted counts the mispredicted, canceled, or failed
-	// remainder; Issued = Useful + Wasted once a run settles.
-	PrefetchWasted uint64
 	// CheckpointsTaken counts window-boundary checkpoints delivered to run
 	// callbacks.
 	CheckpointsTaken uint64
@@ -358,9 +337,6 @@ type EnumStats struct {
 func (e *Engine) EnumStats() EnumStats {
 	return EnumStats{
 		IOWaitNanos:       e.em.ioWaitNanos.Value(),
-		PrefetchIssued:    e.em.prefetchIssued.Value(),
-		PrefetchUseful:    e.em.prefetchUseful.Value(),
-		PrefetchWasted:    e.em.prefetchWasted.Value(),
 		CheckpointsTaken:  e.em.checkpoints.Value(),
 		WindowRetries:     e.em.windowRetries.Value(),
 		CompressedRecords: e.em.compressedRecs.Value(),
@@ -412,7 +388,7 @@ func (e *Engine) RunPlanContextFunc(ctx context.Context, p *plan.Plan, onMatch f
 }
 
 // RunSpecContext executes spec (see RunSpec): RunPlanContextFunc plus
-// checkpoint resume, checkpoint delivery, and per-run prefetch shedding.
+// checkpoint resume, checkpoint delivery, and per-run attribution.
 // A solo run is a private Sweep carrying one Rider: the sweep owns level 1
 // with the level's frame allocation, the rider the deeper levels.
 func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, error) {
@@ -444,12 +420,10 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	// Attribution: an explicit per-request scope from the server wins;
 	// Options.Profile covers direct engine users. The sweep installs the
 	// scope on the buffer pool for the run — the engine owns the pool and
-	// runs one query at a time, and all reads (foreground and prefetch)
-	// settle before the run returns, so attributed pages partition the
-	// global count exactly.
+	// runs one query at a time, and all reads settle before the run
+	// returns, so attributed pages partition the global count exactly.
 	scope := e.runScope(spec)
-	prefetch := !spec.DisablePrefetch
-	s, err := e.newSweep(alloc[0], prefetch, scope, liveOverlay(spec.Overlay))
+	s, err := e.newSweep(alloc[0], scope, liveOverlay(spec.Overlay))
 	if err != nil {
 		e.running.Store(false)
 		return nil, err
@@ -457,7 +431,7 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	defer s.Close()
 	s.private = true
 	statsBefore := e.pool.Stats()
-	rd, err := s.newRider(ctx, spec, scope, alloc, prefetch, e.opts.Threads, e.frames)
+	rd, err := s.newRider(ctx, spec, scope, alloc, e.opts.Threads, e.frames)
 	if err != nil {
 		return nil, err
 	}
@@ -484,11 +458,7 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		next := i + 1
-		if next == len(s.bounds) {
-			next = -1
-		}
-		w, err := s.Load(ctx, i, next)
+		w, err := s.Load(ctx, i, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -524,34 +494,6 @@ func liveOverlay(ov *delta.Snapshot) *delta.Snapshot {
 		return nil
 	}
 	return ov
-}
-
-// prefetchCarve is the share of a level's frame budget held back for the
-// cross-window prefetcher (0 = the level does not prefetch). The window
-// iterator chops against budget minus the carve while the carved-off
-// frames hold the level's in-flight speculative pins, keeping the pool's
-// worst-case pin count at the budget. Two guards make the carve pay its
-// way:
-//
-//   - at most an eighth of the level's budget (and never past the
-//     one-maximal-vertex floor) — shrinking a window budget multiplies the
-//     level's window count and, through re-iteration, every level below
-//     it, so a large bite costs far more in extra windows than lookahead
-//     can hide;
-//   - at least the pool's coalescing run size — the carve caps the length
-//     of a speculative run, and runs shorter than the pool's own pay a
-//     full simulated seek for a handful of pages, costing more device time
-//     than they hide.
-//
-// Levels whose budget cannot afford that band (in practice the starved
-// inner levels, whose loads the last-level path already overlaps with
-// enumeration) skip prefetch instead of degrading it.
-func (e *Engine) prefetchCarve(budget int) int {
-	carve := min(e.opts.PrefetchFrames, budget/8, budget-e.maxSpan)
-	if carve < buffer.DefaultMaxRun {
-		return 0
-	}
-	return carve
 }
 
 // ensureSpanBudget raises every level's frame budget in alloc (which sums
@@ -601,13 +543,8 @@ type run struct {
 	p   *plan.Plan
 	k   int
 	// winBudget is the per-level frame budget the window iterator chops
-	// against: the level's allocation minus its prefetch carve. Index 0 is
-	// unused — the sweep chops level 1.
+	// against. Index 0 is unused — the sweep chops level 1.
 	winBudget []int
-	// prefetch holds each deep level's speculative next-window reader; nil
-	// (or a nil entry) when prefetching is off or the level's carve is too
-	// small to coalesce (see Engine.prefetchCarve).
-	prefetch []*buffer.Prefetcher
 
 	// cand[g][l] is the candidate vertex sequence of group g's node at
 	// level l, valid while its parent's current window is set.
@@ -671,8 +608,8 @@ type run struct {
 }
 
 // newRun builds the state of one enumeration of spec whose deep levels
-// plan against alloc[1:], carving each for prefetch when prefetch is set.
-func (e *Engine) newRun(ctx context.Context, spec RunSpec, scope *obs.Scope, alloc []int, prefetch bool, threads int) *run {
+// plan against alloc[1:].
+func (e *Engine) newRun(ctx context.Context, spec RunSpec, scope *obs.Scope, alloc []int, threads int) *run {
 	p := spec.Plan
 	r := &run{
 		ctx:          ctx,
@@ -693,15 +630,6 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, scope *obs.Scope, all
 		levelSpan:    make([]uint64, p.K),
 		winSpan:      make([]uint64, p.K),
 		windowsPer:   make([]int, p.K),
-	}
-	if prefetch {
-		r.prefetch = make([]*buffer.Prefetcher, p.K)
-		for l := 1; l < p.K; l++ {
-			if carve := e.prefetchCarve(alloc[l]); carve > 0 {
-				r.winBudget[l] -= carve
-				r.prefetch[l] = buffer.NewPrefetcher(e.pool, carve)
-			}
-		}
 	}
 	r.querySpan = r.span()
 	r.arenaPool.New = func() any { return graph.NewArena() }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"dualsim/internal/graph"
 )
@@ -72,4 +74,40 @@ func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestExtMapPageLoadRace is the regression test for the loadWindow data
+// race: on the last level, extMapPage tasks are submitted as soon as their
+// page lands, while later pages' load callbacks are still writing lw.adj.
+// The seed read lw.adj from those tasks without holding the load mutex;
+// now a task that starts before the window is sealed restricts itself to
+// its own page's complete records. Multiple I/O workers plus per-page
+// latency stagger the callbacks so the overlap actually happens. Run with
+// -race.
+func TestExtMapPageLoadRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := skewedGraph(rng, 500, 6, 150)
+	db := buildDB(t, g, 256) // small pages: many load callbacks per window
+	rg, _ := graph.ReorderByDegree(g)
+	want := graph.CountOccurrences(rg, graph.Triangle())
+
+	e, err := NewEngine(db, Options{
+		Threads:        4,
+		IOWorkers:      4,
+		BufferFrames:   96,
+		PerPageLatency: 20 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 5; i++ {
+		got, err := e.Count(graph.Triangle())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("run %d: engine %d, brute force %d", i, got, want)
+		}
+	}
 }

@@ -71,12 +71,10 @@ func TestAdaptiveMatchesSeedCounts(t *testing.T) {
 				// encodings and on the seed kernel path too.
 				{Threads: 3, EagerDecode: true},
 				{Threads: 3, EagerDecode: true, LinearOnlyIntersect: true},
-				// Prefetch dimension: speculative cross-window reads must change
-				// I/O timing only, never counts — with the default buffer and
-				// with smaller ones whose carve shrinks the foreground windows.
-				{Threads: 3, PrefetchFrames: 16},
-				{Threads: 3, PrefetchFrames: 16, BufferFrames: 96},
-				{Threads: 3, PrefetchFrames: 8, BufferFrames: 128, StaticPartition: true},
+				// Tight-buffer dimension: smaller buffers split every level into
+				// more windows, with and without work stealing.
+				{Threads: 3, BufferFrames: 96},
+				{Threads: 3, BufferFrames: 128, StaticPartition: true},
 				// External-order dimension, on both kernel paths (and, on the
 				// compressed database, beside the compressed operand). 12
 				// frames split the 16-29 page databases into dozens of
@@ -100,8 +98,8 @@ func TestAdaptiveMatchesSeedCounts(t *testing.T) {
 					t.Fatalf("%s/%s: %v", db.name, q.Name(), err)
 				}
 				if got != want {
-					t.Fatalf("%s/%s (linearOnly=%v static=%v eager=%v prefetch=%d): engine %d, brute force %d",
-						db.name, q.Name(), opt.LinearOnlyIntersect, opt.StaticPartition, opt.EagerDecode, opt.PrefetchFrames, got, want)
+					t.Fatalf("%s/%s (linearOnly=%v static=%v eager=%v frames=%d): engine %d, brute force %d",
+						db.name, q.Name(), opt.LinearOnlyIntersect, opt.StaticPartition, opt.EagerDecode, opt.BufferFrames, got, want)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"dualsim/internal/buffer"
@@ -82,7 +81,6 @@ type Sweep struct {
 	bounds      []WindowBounds
 	riderFrames int // deep-level frame share per rider
 	maxRiders   int
-	pf          *buffer.Prefetcher
 	// private marks a solo run's sweep: its one rider owns the level-1
 	// loads, so their I/O wait, retries and trace events are the rider's
 	// own rather than shared-window consumption.
@@ -94,10 +92,10 @@ type Sweep struct {
 
 // NewSweep plans a shared scan: it takes the engine's run guard, splits the
 // frame budget (riders share half the pool for their deep levels, the
-// sweep's level-1 windows get the rest minus the usual prefetch carve), and
-// precomputes the level-1 partition. The partition is a pure function of
-// the database layout and the sweep budget, so it is identical across
-// sweeps of the same engine — the property late-join correctness rests on.
+// sweep's level-1 windows get the rest), and precomputes the level-1
+// partition. The partition is a pure function of the database layout and
+// the sweep budget, so it is identical across sweeps of the same engine —
+// the property late-join correctness rests on.
 func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 	if opts.MaxRiders < 1 {
 		opts.MaxRiders = 1
@@ -112,7 +110,7 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 		return nil, fmt.Errorf("core: %d frames cannot give a shared sweep a %d-page level-1 budget beside %d riders; increase the buffer size",
 			e.frames, e.maxSpan, opts.MaxRiders)
 	}
-	s, err := e.newSweep(b1, true, opts.Scope, nil)
+	s, err := e.newSweep(b1, opts.Scope, nil)
 	if err != nil {
 		e.running.Store(false)
 		return nil, err
@@ -122,22 +120,15 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 	return s, nil
 }
 
-// newSweep plans the level-1 cycle over budget frames: the prefetch carve
-// (when prefetch is set), the partition, and the pool's attribution sink.
-// The caller holds the engine's run guard; Close returns it.
-func (e *Engine) newSweep(budget int, prefetch bool, scope *obs.Scope, ov *delta.Snapshot) (*Sweep, error) {
-	carve := 0
-	if prefetch {
-		carve = e.prefetchCarve(budget)
-	}
-	bounds, err := levelOnePartition(e, budget-carve)
+// newSweep plans the level-1 cycle over budget frames: the partition and
+// the pool's attribution sink. The caller holds the engine's run guard;
+// Close returns it.
+func (e *Engine) newSweep(budget int, scope *obs.Scope, ov *delta.Snapshot) (*Sweep, error) {
+	bounds, err := levelOnePartition(e, budget)
 	if err != nil {
 		return nil, err
 	}
 	s := &Sweep{e: e, scope: scope, overlay: ov, bounds: bounds}
-	if carve > 0 {
-		s.pf = buffer.NewPrefetcher(e.pool, carve)
-	}
 	if scope != nil {
 		e.pool.SetAttribution(scope)
 	}
@@ -209,15 +200,13 @@ func (w *SweepWindow) Pages() int { return len(w.lw.pages) }
 // split records merged, the sweep's overlay applied, the window sealed.
 // Transient faults are retried with the engine's window-retry budget
 // (pages that loaded before a fault are resident, so a retry re-reads only
-// the failures). When the sweep has a prefetch carve and next >= 0, the
-// speculative round for partition window next starts before Load returns,
-// overlapping with the riders' enumeration of this window.
+// the failures). next is ignored; it stays for callers that pass it.
 func (s *Sweep) Load(ctx context.Context, idx, next int) (*SweepWindow, error) {
 	b := s.bounds[idx]
 	w := &SweepWindow{index: idx, start: time.Now()}
 	for attempt := 0; ; attempt++ {
 		lw := newLevelWindow(s.e.db, s.e.all[b.Lo:b.Hi], 0, false)
-		wait, err := s.e.fillWindow(ctx, lw, s.pf, s.scope, s.overlay, nil)
+		wait, err := s.e.fillWindow(ctx, lw, s.scope, s.overlay, nil)
 		s.ioWait += wait
 		if s.e.tracer != nil && !s.private {
 			s.emitEvent(obs.Event{Event: "sweep_window_pinned", Level: 1, Window: idx + 1,
@@ -243,17 +232,6 @@ func (s *Sweep) Load(ctx context.Context, idx, next int) (*SweepWindow, error) {
 			return nil, ctx.Err()
 		}
 	}
-	if s.pf != nil && next >= 0 {
-		// The next window's pages that will still need a read once this
-		// one releases, leading pages first.
-		nb := s.bounds[next]
-		cur := w.lw.pages
-		pids := spanPages(s.e.db, s.e.all[nb.Lo:nb.Hi], func(p storage.PageID) bool {
-			_, ok := slices.BinarySearch(cur, p)
-			return ok
-		})
-		issuePrefetch(ctx, s.pf, pids[:min(len(pids), s.pf.Budget())], s.e.em, s.scope)
-	}
 	return w, nil
 }
 
@@ -272,14 +250,13 @@ func (s *Sweep) unpin(lw *levelWindow) {
 	lw.loadedPages = nil
 }
 
-// Close settles the prefetcher, releases the pool's attribution slot, and
-// returns the engine's run guard. The sweep is unusable afterwards.
+// Close releases the pool's attribution slot and returns the engine's run
+// guard. The sweep is unusable afterwards.
 func (s *Sweep) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	collectPrefetch(s.pf, nil, s.e.em, s.scope)
 	if s.scope != nil {
 		s.e.pool.SetAttribution(nil)
 	}
@@ -381,13 +358,13 @@ func (s *Sweep) NewRider(ctx context.Context, spec RunSpec, threads int) (*Rider
 		}
 		copy(alloc[1:], deep)
 	}
-	return s.newRider(ctx, spec, s.e.runScope(spec), alloc, false, threads, s.riderFrames)
+	return s.newRider(ctx, spec, s.e.runScope(spec), alloc, threads, s.riderFrames)
 }
 
 // newRider builds the rider (and its run state) for spec with deep-level
-// budgets alloc[1:], each carved for prefetch when prefetch is set. frames
-// is the budget reported in run_start and Result.BufferFrames.
-func (s *Sweep) newRider(ctx context.Context, spec RunSpec, scope *obs.Scope, alloc []int, prefetch bool, threads, frames int) (*Rider, error) {
+// budgets alloc[1:]. frames is the budget reported in run_start and
+// Result.BufferFrames.
+func (s *Sweep) newRider(ctx context.Context, spec RunSpec, scope *obs.Scope, alloc []int, threads, frames int) (*Rider, error) {
 	if liveOverlay(spec.Overlay) != s.overlay {
 		return nil, fmt.Errorf("%w: live-ingest overlay differs from the sweep's", ErrRiderNotEligible)
 	}
@@ -397,7 +374,7 @@ func (s *Sweep) newRider(ctx context.Context, spec RunSpec, scope *obs.Scope, al
 			return nil, err
 		}
 	}
-	r := s.e.newRun(ctx, spec, scope, alloc, prefetch, threads)
+	r := s.e.newRun(ctx, spec, scope, alloc, threads)
 	rd := &Rider{s: s, r: r, frames: frames, startExec: time.Now(), resumed: cp != nil}
 	if cp != nil {
 		// Totals and window ordinals continue from the checkpoint.
@@ -423,6 +400,17 @@ func (s *Sweep) newRider(ctx context.Context, spec RunSpec, scope *obs.Scope, al
 // resume cursor (settled by the checkpoint it resumed from).
 func (rd *Rider) skips(b WindowBounds) bool { return b.Hi <= rd.cursor }
 
+// SkipWindow consumes partition window idx without its pages when the
+// rider's checkpoint already settled it, and reports whether it did. A
+// sweep whose every rider skips a window advances past it unloaded.
+func (rd *Rider) SkipWindow(idx int) bool {
+	if !rd.skips(rd.s.bounds[idx]) {
+		return false
+	}
+	rd.processed++
+	return true
+}
+
 // Done reports that the rider has consumed every partition window.
 func (rd *Rider) Done() bool { return rd.processed >= len(rd.s.bounds) }
 
@@ -436,12 +424,11 @@ func (rd *Rider) SharedPages() uint64 { return rd.sharedPages }
 // On return no rider task is running — the sweep may release the window's
 // pins.
 func (rd *Rider) ProcessWindow(w *SweepWindow) error {
-	r := rd.r
-	b := rd.s.bounds[w.index]
-	if rd.skips(b) {
-		rd.processed++
+	if rd.SkipWindow(w.index) {
 		return nil
 	}
+	r := rd.r
+	b := rd.s.bounds[w.index]
 	if err := r.ctx.Err(); err != nil {
 		r.fail(err)
 		return err

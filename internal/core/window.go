@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dualsim/internal/buffer"
 	"dualsim/internal/delta"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
@@ -63,10 +62,6 @@ type levelWindow struct {
 // at level l nest inside the current windows of all earlier levels.
 func (r *run) processLevel(l int) error {
 	iter := windowIterator{r: r, level: l, merged: r.mergedCandidates(l)}
-	// Settle the level's speculative reads on every exit path (error,
-	// cancellation, level exhausted): leftover pins must be released before
-	// the caller unloads outer windows or the run returns.
-	defer r.settlePrefetch(l)
 	// Attributed runs trace each processLevel invocation as a level span
 	// nested under the enclosing window.
 	if lvlSpan := r.span(); lvlSpan != 0 {
@@ -108,9 +103,6 @@ func (r *run) processLevel(l int) error {
 			return err
 		}
 		r.winData[l] = lw
-		// Speculate on the level's next window while this one is enumerated:
-		// its page set is computable from the iterator without loading.
-		r.startPrefetch(l, &iter, lw)
 		r.windowsPer[l]++
 		r.em.windows.Inc()
 		if r.scope != nil {
@@ -336,114 +328,6 @@ func (it *windowIterator) windowVerts() []graph.VertexID {
 	return it.merged[it.curLo:it.curHi]
 }
 
-// peekNextPages predicts the page set of the level's next window without
-// advancing the iterator: it replays next()'s budget walk from the current
-// position, treating the current window's own path pins (cur) as already
-// released — they will be by the time the next window loads. Only pages
-// that will actually need a read are returned (pages held by outer-level
-// windows stay resident), ascending, truncated to max. Returns nil when
-// the level is exhausted.
-func (it *windowIterator) peekNextPages(cur *levelWindow, max int) []storage.PageID {
-	if it.start >= len(it.merged) || max <= 0 {
-		return nil
-	}
-	r := it.r
-	budget := r.winBudget[it.level]
-	curSet := make(map[storage.PageID]bool, len(cur.pages))
-	for _, p := range cur.pages {
-		curSet[p] = true
-	}
-	// effective path-pin count once the current window unloads
-	free := func(p storage.PageID) bool {
-		n := r.pathPinned[p]
-		if curSet[p] {
-			n--
-		}
-		return n == 0
-	}
-	newPages := make(map[storage.PageID]bool)
-	var pages []storage.PageID
-	for i := it.start; i < len(it.merged); i++ {
-		first, last := r.e.db.SpanOf(it.merged[i])
-		added := 0
-		for p := first; p <= last; p++ {
-			if free(p) && !newPages[p] {
-				added++
-			}
-		}
-		if len(newPages)+added > budget {
-			break
-		}
-		for p := first; p <= last; p++ {
-			if free(p) && !newPages[p] {
-				newPages[p] = true
-				pages = append(pages, p)
-			}
-		}
-	}
-	slices.Sort(pages)
-	if len(pages) > max {
-		pages = pages[:max]
-	}
-	return pages
-}
-
-// startPrefetch begins the level's speculative round for the window after
-// lw, if the level has a prefetcher and the iterator has more vertices.
-// The round covers the leading pages of the next window's predicted page
-// set, clipped to the carved budget — the prefetcher pins what it loads so
-// the speculation survives the last level's eviction churn until the
-// window transition collects it.
-func (r *run) startPrefetch(l int, it *windowIterator, lw *levelWindow) {
-	if r.prefetch == nil || r.prefetch[l] == nil {
-		return
-	}
-	pf := r.prefetch[l]
-	issuePrefetch(r.ctx, pf, it.peekNextPages(lw, pf.Budget()), r.em, r.scope)
-}
-
-// settlePrefetch cancels and releases whatever the level's prefetcher still
-// holds, counting it all as wasted (the window-skip / error-exit path).
-func (r *run) settlePrefetch(l int) {
-	if r.prefetch != nil {
-		collectPrefetch(r.prefetch[l], nil, r.em, r.scope)
-	}
-}
-
-// issuePrefetch starts pf's speculative round over pids and counts it.
-func issuePrefetch(ctx context.Context, pf *buffer.Prefetcher, pids []storage.PageID, em *engineMetrics, scope *obs.Scope) {
-	if len(pids) == 0 {
-		return
-	}
-	n := pf.Start(ctx, pids)
-	em.prefetchIssued.Add(uint64(n))
-	if scope != nil && n > 0 {
-		scope.PrefetchIssued.Add(uint64(n))
-	}
-}
-
-// collectPrefetch settles pf's speculative round (nil pf: no-op), releasing
-// its pins: pages want reports as needed count as useful, the rest (all of
-// them for a nil want) as wasted.
-func collectPrefetch(pf *buffer.Prefetcher, want func(storage.PageID) bool, em *engineMetrics, scope *obs.Scope) {
-	if pf == nil {
-		return
-	}
-	useful, wasted := pf.Collect(want)
-	if useful > 0 {
-		em.prefetchUseful.Add(uint64(useful))
-		if scope != nil {
-			scope.PrefetchUseful.Add(uint64(useful))
-		}
-	}
-	if wasted > 0 {
-		em.prefetchWasted.Add(uint64(wasted))
-		if scope != nil {
-			scope.PrefetchWasted.Add(uint64(wasted))
-		}
-	}
-}
-
 // loadWindowWithRetry is loadWindow plus whole-window recovery: a transient
 // fault that survived the read-level retry budget drains the window's
 // already-dispatched tasks, discards its pins and partial counts, clears
@@ -517,11 +401,7 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool) (*levelW
 	// dispatched post-seal instead — the overlap with I/O is lost for
 	// mutated runs, the price of reading one consistent graph version.
 	eager := lastLevel && r.overlay == nil
-	var pf *buffer.Prefetcher
-	if r.prefetch != nil {
-		pf = r.prefetch[l]
-	}
-	wait, _ := r.e.fillWindow(r.ctx, lw, pf, r.scope, r.overlay, func(page *storage.Page, err error) {
+	wait, _ := r.e.fillWindow(r.ctx, lw, r.scope, r.overlay, func(page *storage.Page, err error) {
 		if err != nil {
 			r.fail(err)
 		} else if eager {
@@ -567,7 +447,7 @@ func newLevelWindow(db Database, verts []graph.VertexID, groups int, lastLevel b
 		adj:         make(map[graph.VertexID][]graph.VertexID),
 		pinned:      make(map[storage.PageID]bool),
 		loadedPages: make(map[storage.PageID]*storage.Page),
-		pages:       spanPages(db, verts, nil),
+		pages:       spanPages(db, verts),
 	}
 	if lastLevel {
 		lw.comp = make(map[graph.VertexID]graph.CompressedAdj)
@@ -578,15 +458,14 @@ func newLevelWindow(db Database, verts []graph.VertexID, groups int, lastLevel b
 	return lw
 }
 
-// spanPages returns the ascending union of the page spans of verts, minus
-// the pages skip reports (nil skips none).
-func spanPages(db Database, verts []graph.VertexID, skip func(storage.PageID) bool) []storage.PageID {
+// spanPages returns the ascending union of the page spans of verts.
+func spanPages(db Database, verts []graph.VertexID) []storage.PageID {
 	var pages []storage.PageID
 	seen := make(map[storage.PageID]bool)
 	for _, v := range verts {
 		first, last := db.SpanOf(v)
 		for p := first; p <= last; p++ {
-			if !seen[p] && (skip == nil || !skip(p)) {
+			if !seen[p] {
 				seen[p] = true
 				pages = append(pages, p)
 			}
@@ -597,25 +476,16 @@ func spanPages(db Database, verts []graph.VertexID, skip func(storage.PageID) bo
 }
 
 // fillWindow is the one window loader, shared by the sweep's level-1 loads
-// and the deep levels: it settles the level's speculative round pf (nil:
-// none), pins every page of lw issued as maximal ascending runs, indexes
-// the loaded records into lw.adj (and lw.comp for last-level windows), and
-// — once every read landed — merges split records, folds the overlay ov in
-// (nil: the base graph) and seals the window. onPage, when non-nil, runs
+// and the deep levels: it pins every page of lw issued as maximal
+// ascending runs, indexes the loaded records into lw.adj (and lw.comp for
+// last-level windows), and — once every read landed — merges split
+// records, folds the overlay ov in (nil: the base graph) and seals the
+// window. onPage, when non-nil, runs
 // for every settled read (err set on failure) after the page is indexed.
 // Returns the I/O wait and the first read error; a failed window comes
 // back unsealed, still holding the pins of the pages that did load.
-func (e *Engine) fillWindow(ctx context.Context, lw *levelWindow, pf *buffer.Prefetcher, scope *obs.Scope, ov *delta.Snapshot, onPage func(*storage.Page, error)) (time.Duration, error) {
+func (e *Engine) fillWindow(ctx context.Context, lw *levelWindow, scope *obs.Scope, ov *delta.Snapshot, onPage func(*storage.Page, error)) (time.Duration, error) {
 	pages := lw.pages
-	// Settle the level's speculative round before issuing this window's
-	// reads: pages the prediction got right are still resident and turn the
-	// reads below into buffer hits; the speculative pins are released first
-	// so the pool's worst case stays within the level's allocation.
-	collectPrefetch(pf, func(pid storage.PageID) bool {
-		_, ok := slices.BinarySearch(pages, pid)
-		return ok
-	}, e.em, scope)
-
 	keepCompressed := lw.comp != nil
 	var mu sync.Mutex
 	var firstErr error

@@ -19,8 +19,7 @@ import (
 // disabled path costs one pointer comparison (the ≤2%-overhead budget).
 //
 // The engine runs one query at a time and owns its pool exclusively, and
-// all physical reads (foreground and prefetch) settle before a run
-// returns; together these guarantee the sum of per-query attributed pages
+// all physical reads settle before a run returns; together these guarantee the sum of per-query attributed pages
 // equals the global dualsim_pages_read_total delta exactly.
 type Scope struct {
 	traceID string
@@ -36,20 +35,17 @@ type Scope struct {
 	CoalescedPages atomic.Uint64 // pages covered by those stretches
 
 	// Core enumeration attribution (mirrors engineMetrics counters).
-	IOWaitNanos    atomic.Uint64 // orchestrator wait for window pins
-	Windows        atomic.Uint64 // windows processed, all levels
-	WindowsLevel1  atomic.Uint64 // level-1 (outermost) windows
-	PrefetchIssued atomic.Uint64
-	PrefetchUseful atomic.Uint64
-	PrefetchWasted atomic.Uint64
-	IntersectLin   atomic.Uint64 // linear-merge kernel invocations
-	IntersectGal   atomic.Uint64 // galloping kernel invocations
-	IntersectKWay  atomic.Uint64 // k-way kernel invocations
-	StealSplits    atomic.Uint64
-	WindowRetries  atomic.Uint64
-	Checkpoints    atomic.Uint64
-	EmbInternal    atomic.Uint64 // embeddings found in internal areas
-	EmbExternal    atomic.Uint64 // embeddings found across windows
+	IOWaitNanos   atomic.Uint64 // orchestrator wait for window pins
+	Windows       atomic.Uint64 // windows processed, all levels
+	WindowsLevel1 atomic.Uint64 // level-1 (outermost) windows
+	IntersectLin  atomic.Uint64 // linear-merge kernel invocations
+	IntersectGal  atomic.Uint64 // galloping kernel invocations
+	IntersectKWay atomic.Uint64 // k-way kernel invocations
+	StealSplits   atomic.Uint64
+	WindowRetries atomic.Uint64
+	Checkpoints   atomic.Uint64
+	EmbInternal   atomic.Uint64 // embeddings found in internal areas
+	EmbExternal   atomic.Uint64 // embeddings found across windows
 
 	// SharedPages counts pages of shared sweep windows this query consumed
 	// as a cohort rider. The physical reads behind them are charged to the
@@ -107,12 +103,9 @@ type CostProfile struct {
 	CoalescedRuns  uint64 `json:"coalesced_runs,omitempty"`
 	CoalescedPages uint64 `json:"coalesced_pages,omitempty"`
 
-	// Window/prefetch behaviour.
-	Windows        uint64 `json:"windows"`
-	WindowsLevel1  uint64 `json:"windows_level1"`
-	PrefetchIssued uint64 `json:"prefetch_issued,omitempty"`
-	PrefetchUseful uint64 `json:"prefetch_useful,omitempty"`
-	PrefetchWasted uint64 `json:"prefetch_wasted,omitempty"`
+	// Window behaviour.
+	Windows       uint64 `json:"windows"`
+	WindowsLevel1 uint64 `json:"windows_level1"`
 
 	// Enumeration kernel mix and resilience.
 	IntersectLinear uint64 `json:"intersect_linear,omitempty"`
@@ -145,9 +138,6 @@ func (s *Scope) Profile() CostProfile {
 		CoalescedPages:  s.CoalescedPages.Load(),
 		Windows:         s.Windows.Load(),
 		WindowsLevel1:   s.WindowsLevel1.Load(),
-		PrefetchIssued:  s.PrefetchIssued.Load(),
-		PrefetchUseful:  s.PrefetchUseful.Load(),
-		PrefetchWasted:  s.PrefetchWasted.Load(),
 		IntersectLinear: s.IntersectLin.Load(),
 		IntersectGallop: s.IntersectGal.Load(),
 		IntersectKWay:   s.IntersectKWay.Load(),
@@ -186,10 +176,6 @@ func (p *CostProfile) WriteReport(w io.Writer) {
 		fmt.Fprintf(w, "coalesced runs   %d covering %d pages\n", p.CoalescedRuns, p.CoalescedPages)
 	}
 	fmt.Fprintf(w, "windows          %d  (level-1 %d)\n", p.Windows, p.WindowsLevel1)
-	if p.PrefetchIssued > 0 {
-		fmt.Fprintf(w, "prefetch         issued %d, useful %d, wasted %d\n",
-			p.PrefetchIssued, p.PrefetchUseful, p.PrefetchWasted)
-	}
 	fmt.Fprintf(w, "kernel mix       linear %d, gallop %d, k-way %d  (steal splits %d)\n",
 		p.IntersectLinear, p.IntersectGallop, p.IntersectKWay, p.StealSplits)
 	if p.WindowRetries > 0 || p.Checkpoints > 0 {

@@ -70,9 +70,6 @@ func TestScopeProfile(t *testing.T) {
 	sc.IOWaitNanos.Add(300)
 	sc.Windows.Add(5)
 	sc.WindowsLevel1.Add(3)
-	sc.PrefetchIssued.Add(4)
-	sc.PrefetchUseful.Add(3)
-	sc.PrefetchWasted.Add(1)
 	sc.IntersectLin.Add(6)
 	sc.IntersectGal.Add(7)
 	sc.IntersectKWay.Add(1)
@@ -88,7 +85,6 @@ func TestScopeProfile(t *testing.T) {
 		PagesRead: 10, LogicalReads: 20, BufferHits: 12,
 		CoalescedRuns: 2, CoalescedPages: 8,
 		Windows: 5, WindowsLevel1: 3,
-		PrefetchIssued: 4, PrefetchUseful: 3, PrefetchWasted: 1,
 		IntersectLinear: 6, IntersectGallop: 7, IntersectKWay: 1,
 		StealSplits: 2, WindowRetries: 1, Checkpoints: 3,
 		EmbInternal: 40, EmbExternal: 2,
@@ -108,7 +104,6 @@ func TestCostProfileWriteReport(t *testing.T) {
 		PagesRead: 100, LogicalReads: 400, BufferHits: 300,
 		CoalescedRuns: 5, CoalescedPages: 50,
 		Windows: 9, WindowsLevel1: 3,
-		PrefetchIssued: 10, PrefetchUseful: 8, PrefetchWasted: 2,
 		IntersectLinear: 1, IntersectGallop: 2, IntersectKWay: 3,
 		WindowRetries: 1, Checkpoints: 4,
 		EmbInternal: 7, EmbExternal: 8,
@@ -119,7 +114,7 @@ func TestCostProfileWriteReport(t *testing.T) {
 	for _, want := range []string{
 		"deadbeef", "queue wait", "2ms", "prep", "1s",
 		"pages read       100", "75.0%", "coalesced runs   5",
-		"windows          9", "issued 10", "linear 1, gallop 2, k-way 3",
+		"windows          9", "linear 1, gallop 2, k-way 3",
 		"window retries 1, checkpoints 4", "internal 7, external 8",
 	} {
 		if !strings.Contains(out, want) {

@@ -320,10 +320,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancelT()
 	}
 
-	// A shedding breaker drops speculation first: prefetch multiplies reads
-	// against a device that is already failing them, and the budget carved
-	// from the buffer pool is worth more as demand-fetch frames.
-	spec := core.RunSpec{Plan: p, Resume: resume, Overlay: snap, DisablePrefetch: s.br.shedding(), Scope: scope}
+	spec := core.RunSpec{Plan: p, Resume: resume, Overlay: snap, Scope: scope}
 
 	// run executes the spec: solo on the acquired engine, or as a cohort
 	// rider. A bounced rider (ErrNotEligible — the plan is too deep for
@@ -691,14 +688,10 @@ type StatsResponse struct {
 	PlanCache     plan.CacheStats `json:"plan_cache"`
 	Draining      bool            `json:"draining"`
 	UptimeSeconds float64         `json:"uptime_seconds"`
-	// I/O-pipeline counters: orchestrator time blocked on window loads, the
-	// prefetch pipeline's issued/useful/wasted page counts (shared across
-	// the engine fleet via the common registry), and the pool's run
-	// coalescing activity (summed over engines).
+	// I/O-pipeline counters: orchestrator time blocked on window loads
+	// (shared across the engine fleet via the common registry) and the
+	// pool's run coalescing activity (summed over engines).
 	IOWaitNS       uint64 `json:"io_wait_ns"`
-	PrefetchIssued uint64 `json:"prefetch_issued"`
-	PrefetchUseful uint64 `json:"prefetch_useful"`
-	PrefetchWasted uint64 `json:"prefetch_wasted"`
 	CoalescedRuns  uint64 `json:"coalesced_runs"`
 	CoalescedPages uint64 `json:"coalesced_pages"`
 	// Compressed-storage counters: compressed adjacency records/bytes
@@ -754,7 +747,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	sched := s.sched
 	engines := len(s.engines)
 	// The engines share one registry, so enumeration counters (io_wait,
-	// prefetch_*) are fleet-wide on any member — read one, never sum. Pool
+	// compressed_*) are fleet-wide on any member — read one, never sum. Pool
 	// counters are per engine and are summed, retired engines included.
 	var enum core.EnumStats
 	if engines > 0 {
@@ -802,9 +795,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Draining:       s.draining.Load(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		IOWaitNS:       enum.IOWaitNanos,
-		PrefetchIssued: enum.PrefetchIssued,
-		PrefetchUseful: enum.PrefetchUseful,
-		PrefetchWasted: enum.PrefetchWasted,
 		CoalescedRuns:  pool.CoalescedRuns,
 		CoalescedPages: pool.CoalescedPages,
 

@@ -154,8 +154,8 @@ func testAttributionPagesExact(t *testing.T, shareScan bool) {
 	for _, p := range attributed {
 		sum += p
 	}
-	// The sweep's trailing prefetch I/O can settle just after the last
-	// rider's response, so re-read until the books balance.
+	// The sweep's trailing I/O can settle just after the last rider's
+	// response, so re-read until the books balance.
 	var delta, sweepOwned uint64
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -6,22 +6,18 @@ import (
 )
 
 // Breaker states, also exported as the dualsim_breaker_state gauge.
-// closed(0): normal admission. shed(1): degraded — requests still run but
-// new runs drop their prefetch budget (speculation multiplies reads
-// against a device already failing them). open(2): reject-fast with
-// Retry-After until the cooldown elapses. halfopen(3): one probe request
-// is in flight; its outcome closes or re-opens the breaker.
+// closed(0): normal admission. open(2): reject-fast with Retry-After until
+// the cooldown elapses. halfopen(3): one probe request is in flight; its
+// outcome closes or re-opens the breaker. Value 1 is unused so that
+// existing scrapes of the gauge keep their meaning.
 const (
-	breakerClosed int32 = iota
-	breakerShed
-	breakerOpen
-	breakerHalfOpen
+	breakerClosed   int32 = 0
+	breakerOpen     int32 = 2
+	breakerHalfOpen int32 = 3
 )
 
 func breakerStateName(s int32) string {
 	switch s {
-	case breakerShed:
-		return "shed"
 	case breakerOpen:
 		return "open"
 	case breakerHalfOpen:
@@ -36,7 +32,6 @@ func breakerStateName(s int32) string {
 type breakerConfig struct {
 	window     int           // outcomes remembered (sliding ring)
 	minSamples int           // outcomes required before ratios apply
-	shedRatio  float64       // fault fraction that enters degraded mode
 	openRatio  float64       // fault fraction that opens the breaker
 	cooldown   time.Duration // open -> half-open delay
 	now        func() time.Time
@@ -45,8 +40,8 @@ type breakerConfig struct {
 // breaker is the per-pool circuit breaker. It watches run outcomes — a
 // transient-fault failure, or a successful run whose buffer pin-wait
 // crossed the configured pressure threshold, counts as a fault — over a
-// sliding window, degrades (shed prefetch first), then opens (reject-fast
-// with Retry-After), then recovers through single half-open probes.
+// sliding window, opens (reject-fast with Retry-After) when their share
+// crosses the open ratio, then recovers through single half-open probes.
 type breaker struct {
 	cfg breakerConfig
 
@@ -91,13 +86,6 @@ func (b *breaker) allow() (ok bool, probe bool, retryAfter time.Duration) {
 	return true, false, 0
 }
 
-// shedding reports whether new runs should shed their prefetch budget.
-func (b *breaker) shedding() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state != breakerClosed
-}
-
 // record feeds one settled run outcome back. A probe outcome decides the
 // half-open state: success closes the breaker (and forgets the bad
 // window), a fault re-opens it. Non-probe outcomes recorded while the
@@ -133,14 +121,8 @@ func (b *breaker) record(fault bool, probe bool) {
 			faults++
 		}
 	}
-	ratio := float64(faults) / float64(b.n)
-	switch {
-	case ratio >= b.cfg.openRatio:
+	if float64(faults)/float64(b.n) >= b.cfg.openRatio {
 		b.trip()
-	case ratio >= b.cfg.shedRatio:
-		b.state = breakerShed
-	default:
-		b.state = breakerClosed
 	}
 }
 

@@ -275,8 +275,7 @@ func (s *Scheduler) runSweep(sweep *core.Sweep) {
 			}
 			continue
 		}
-		sw, err := sweep.Load(s.baseCtx, idx, (idx+1)%w)
-		if err != nil {
+		if err := s.serveWindow(sweep, idx, riders); err != nil {
 			// The window itself failed (past the retry budget): every
 			// attached rider shares the failure; waiting riders never saw
 			// it and retry solo.
@@ -286,19 +285,6 @@ func (s *Scheduler) runSweep(sweep *core.Sweep) {
 			s.drainPending(fmt.Errorf("%w: shared sweep failed: %v", ErrNotEligible, err))
 			return
 		}
-		s.sharedWindows.Inc()
-		var wg sync.WaitGroup
-		for _, ar := range riders {
-			ar := ar
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ar.err = ar.rider.ProcessWindow(sw)
-			}()
-		}
-		wg.Wait()
-		s.sharedPages.Add(uint64(sw.Pages()) * uint64(len(riders)))
-		sweep.Release(sw)
 		kept := riders[:0]
 		for _, ar := range riders {
 			switch {
@@ -314,6 +300,39 @@ func (s *Scheduler) runSweep(sweep *core.Sweep) {
 		riders = kept
 		idx = (idx + 1) % w
 	}
+}
+
+// serveWindow hands partition window idx to every rider that needs it. A
+// window every rider skips (a resume checkpoint settled it) is never
+// loaded. Riders' errors land in their activeRider; the returned error is
+// the window load's own.
+func (s *Scheduler) serveWindow(sweep *core.Sweep, idx int, riders []*activeRider) error {
+	var need []*activeRider
+	for _, ar := range riders {
+		if !ar.rider.SkipWindow(idx) {
+			need = append(need, ar)
+		}
+	}
+	if len(need) == 0 {
+		return nil
+	}
+	sw, err := sweep.Load(s.baseCtx, idx, -1)
+	if err != nil {
+		return err
+	}
+	s.sharedWindows.Inc()
+	var wg sync.WaitGroup
+	for _, ar := range need {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ar.err = ar.rider.ProcessWindow(sw)
+		}()
+	}
+	wg.Wait()
+	s.sharedPages.Add(uint64(sw.Pages()) * uint64(len(need)))
+	sweep.Release(sw)
+	return nil
 }
 
 // admit boards pending riders up to the free seats, skipping entries whose

@@ -231,3 +231,67 @@ func TestSchedulerLifecycle(t *testing.T) {
 	}
 	sched.Close() // idempotent
 }
+
+// TestSchedulerSkipsWindowsNoRiderNeeds: a lone resumed rider on a fresh
+// sweep must not make the sweep read the windows before its cursor, and
+// the global shared-pages counter must count only pages a rider consumed.
+// The solo engine uses equal allocation over the cohort engine's frames,
+// which gives it the same level budgets as a one-seat sweep (half the
+// frames for level 1, half for the deep level), so both see the same
+// partition and the same cursor boundary. One thread and one I/O worker
+// keep the pool's eviction order, and so its physical reads, repeatable.
+func TestSchedulerSkipsWindowsNoRiderNeeds(t *testing.T) {
+	const frames = 96
+	g := randomGraph(11, 2000, 8000)
+	db := buildDB(t, g, 256)
+	tri := mustPlan(t, graph.Triangle())
+	soloOpts := core.Options{Threads: 1, IOWorkers: 1, BufferFrames: frames, EqualAllocation: true}
+
+	// A checkpoint in the middle of the solo partition.
+	e, err := core.NewEngine(db, soloOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cps []core.Checkpoint
+	if _, err := e.RunSpecContext(context.Background(), core.RunSpec{Plan: tri,
+		OnCheckpoint: func(cp core.Checkpoint) { cps = append(cps, cp) }}); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if len(cps) < 3 {
+		t.Fatalf("fixture has %d level-1 windows, want at least 3", len(cps))
+	}
+	cp := cps[len(cps)/2]
+
+	e, err = core.NewEngine(db, soloOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := e.RunSpecContext(context.Background(), core.RunSpec{Plan: tri, Resume: &cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloReads := e.PoolStats().PhysicalReads
+	e.Close()
+
+	eng, err := core.NewEngine(db, core.Options{Threads: 1, IOWorkers: 1, BufferFrames: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sched := New(eng, Options{MaxRiders: 1, RiderThreads: 1})
+	defer sched.Close()
+	res, err := sched.Run(context.Background(), core.RunSpec{Plan: tri, Resume: &cp, Scope: obs.NewScope("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != solo.Count {
+		t.Fatalf("cohort resume count %d, solo resume %d", res.Count, solo.Count)
+	}
+	if got := eng.PoolStats().PhysicalReads; got != soloReads {
+		t.Errorf("cohort resume read %d pages, solo resume %d", got, soloReads)
+	}
+	if got, want := sched.Stats().SharedPages, res.Profile.SharedPages; got != want {
+		t.Errorf("shared_pages_total = %d, rider SharedPages sum = %d", got, want)
+	}
+}

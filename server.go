@@ -47,12 +47,10 @@ type ServerConfig struct {
 	// still attached to truncation trailers and error lines).
 	ResumeTokenEvery int
 	// Breaker tunes the per-pool circuit breaker. Run outcomes feed a
-	// sliding window; past BreakerShedRatio of faults new runs shed their
-	// prefetch budget, past BreakerOpenRatio the service rejects fast with
-	// 429 + Retry-After until a half-open probe succeeds.
+	// sliding window; past BreakerOpenRatio of faults the service rejects
+	// fast with 429 + Retry-After until a half-open probe succeeds.
 	BreakerWindow     int           // outcomes remembered (default 8)
-	BreakerMinSamples int           // outcomes before ratios apply (default 4)
-	BreakerShedRatio  float64       // degraded-mode threshold (default 0.25)
+	BreakerMinSamples int           // outcomes before the ratio applies (default 4)
 	BreakerOpenRatio  float64       // reject-fast threshold (default 0.5)
 	BreakerCooldown   time.Duration // open -> half-open delay (default 1s)
 	// BreakerPinWait, when positive, also counts a successful run whose
@@ -149,7 +147,6 @@ func (d *DB) NewServer(cfg ServerConfig) (*Server, error) {
 		ResumeTokenEvery:    cfg.ResumeTokenEvery,
 		BreakerWindow:       cfg.BreakerWindow,
 		BreakerMinSamples:   cfg.BreakerMinSamples,
-		BreakerShedRatio:    cfg.BreakerShedRatio,
 		BreakerOpenRatio:    cfg.BreakerOpenRatio,
 		BreakerCooldown:     cfg.BreakerCooldown,
 		BreakerPinWait:      cfg.BreakerPinWait,
